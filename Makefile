@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race ci metrics-lint status-smoke takeover-smoke chaos fuzz bench bench-compare bench-gate bench-rejoin bench-serve figures clean
+.PHONY: all build vet test race ci metrics-lint status-smoke takeover-smoke stress chaos fuzz bench bench-compare bench-gate bench-rejoin bench-serve figures clean
 
 all: ci
 
@@ -34,13 +34,21 @@ status-smoke:
 takeover-smoke:
 	$(GO) test -race -count=1 -run 'TestWireTakeover' ./cmd/mirrord
 
+# Concurrency stress: the in-process cluster and CBCAST suites 20
+# times at 2 and 8 cores, then the wire-takeover e2e three runs in a
+# row — the flakes a single pass hides.
+stress:
+	$(GO) test -count=20 -cpu 2,8 ./internal/cluster ./internal/cbcast
+	for i in 1 2 3; do $(MAKE) takeover-smoke || exit 1; done
+
 # Full gate: what CI runs and what every change must keep green.
-ci: build vet race metrics-lint status-smoke takeover-smoke
+ci: build vet race metrics-lint status-smoke takeover-smoke stress
 
 # Deterministic fault-injection sweep under the race detector: 32
 # seeded runs of each schedule class — "mirror" crash-restarts a
-# mirror, "central" kills the central site and promotes the
-# warm-standby — while machine-checking the mirroring invariants
+# mirror, "central" kills the central site and runs the mirrors'
+# takeover runtimes (standby promotion or election, by seed) — while
+# machine-checking the mirroring invariants
 # (including invariant 7, lossless promotion). A failing seed replays
 # with scripts/chaos_repro.sh <seed>.
 chaos:

@@ -12,6 +12,7 @@ import (
 var testModel = CostModel{
 	EventBase:      2 * time.Microsecond,
 	SerializeBase:  500 * time.Nanosecond,
+	FramePerEvent:  500 * time.Nanosecond,
 	SubmitBase:     200 * time.Nanosecond,
 	RequestBase:    5 * time.Microsecond,
 	CheckpointBase: time.Microsecond,

@@ -4,7 +4,8 @@
 // mirroring invariants. Two schedule classes exist: "mirror" (a mirror
 // crash-restarts, links partition, control links misbehave, one mirror
 // runs slow) and "central" (the central site itself dies mid-run and
-// the warm-standby mirror is promoted). A failing seed prints its
+// the mirrors' takeover runtimes promote the standby or, depending on
+// the seed, elect a new central). A failing seed prints its
 // schedule and replays exactly with -seed (see scripts/chaos_repro.sh).
 //
 //	chaosrunner -seeds 32                 # seeds 1..32, mirror class
@@ -55,6 +56,7 @@ func main() {
 	}
 
 	runs, failed := 0, 0
+	modes := map[bool]int{} // central-crash runs by Schedule.Election
 	for _, crashCentral := range central {
 		for _, s := range list {
 			runs++
@@ -64,6 +66,9 @@ func main() {
 				Flights:      *flights,
 				CentralCrash: crashCentral,
 			})
+			if crashCentral {
+				modes[res.Schedule.Election]++
+			}
 			if res.Failed() {
 				failed++
 				fmt.Println(res.Report())
@@ -76,6 +81,9 @@ func main() {
 	}
 
 	fmt.Printf("chaos: %d/%d runs passed\n", runs-failed, runs)
+	if len(modes) > 0 {
+		fmt.Printf("chaos: central-crash failover by standby promotion %d, by election %d\n", modes[false], modes[true])
+	}
 	if failed > 0 {
 		os.Exit(1)
 	}

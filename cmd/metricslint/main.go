@@ -117,6 +117,7 @@ func run() error {
 	model := costmodel.Model{
 		EventBase:     2 * time.Microsecond,
 		SerializeBase: 500 * time.Nanosecond,
+		FramePerEvent: 500 * time.Nanosecond,
 		SubmitBase:    200 * time.Nanosecond,
 		RequestBase:   5 * time.Microsecond,
 	}

@@ -527,11 +527,14 @@ func startMirror(opts mirrorOptions) (*mirrorSite, error) {
 		return nil, err
 	}
 	ctrl.Subscribe(s.handleCtrlDown)
+	s.Front = httpfront.NewWithRegistry(s.Mirror.Main(), s.Obs)
+	s.Front.SetStatus(s.Status)
 
 	// Arm the takeover runtime before the event-channel server starts:
-	// handleCtrlDown reads s.takeover from connection goroutines.
+	// handleCtrlDown reads s.takeover from connection goroutines, and a
+	// promotion reaches for s.Front.
 	if opts.TakeoverBudget > 0 && len(opts.Peers) > 0 {
-		t, err := newTakeoverRuntime(s, opts)
+		t, err := startTakeover(s, opts)
 		if err != nil {
 			s.Close()
 			return nil, err
@@ -548,18 +551,12 @@ func startMirror(opts mirrorOptions) (*mirrorSite, error) {
 	s.srv = echo.NewServer(s.bus)
 	go s.srv.Serve(ln)
 
-	s.Front = httpfront.NewWithRegistry(s.Mirror.Main(), s.Obs)
-	s.Front.SetStatus(s.Status)
 	httpAddr, err := s.Front.Listen(opts.HTTP)
 	if err != nil {
 		s.Close()
 		return nil, err
 	}
 	s.HTTPAddr = httpAddr
-
-	if s.takeover != nil {
-		s.takeover.start()
-	}
 	return s, nil
 }
 
@@ -567,7 +564,7 @@ func startMirror(opts mirrorOptions) (*mirrorSite, error) {
 // (TAKEOVER announcements, ELECT claims) go to the takeover runtime,
 // everything else to the mirror's checkpoint state machine.
 func (s *mirrorSite) handleCtrlDown(e *event.Event) {
-	if t := s.takeover; t != nil && t.handleControl(e) {
+	if t := s.takeover; t != nil && t.rt.HandleControl(e) {
 		return
 	}
 	s.Mirror.HandleControl(e)

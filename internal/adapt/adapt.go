@@ -293,14 +293,16 @@ func (c *Controller) auditLocked(action string, reg Regime, v Var, s core.Sample
 	vals := sampleVals(s)
 	th := c.thresholds[v]
 	c.audit.Append(obs.AuditEntry{
-		Action:    action,
-		RegimeID:  reg.ID,
-		Regime:    reg.Name,
-		Var:       v.String(),
-		Value:     vals[v],
-		Site:      SiteLabel(site),
-		Primary:   th.Primary,
-		Secondary: th.Secondary,
+		Action:   action,
+		RegimeID: reg.ID,
+		Regime:   reg.Name,
+		Var:      v.String(),
+		Value:    vals[v],
+		Site:     SiteLabel(site),
+		Primary:  th.Primary,
+		// The band actually applied: calmFloor clamps the revert
+		// boundary to at least 1, so log the secondary it implies.
+		Secondary: th.Primary - th.calmFloor(),
 		Ready:     s.Ready,
 		Backup:    s.Backup,
 		Pending:   s.Pending,

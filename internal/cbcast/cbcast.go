@@ -67,6 +67,12 @@ type Member struct {
 	delivered vclock.VC // delivery progress
 	pending   []Message // causally premature messages
 	closed    bool
+	// outbox holds causally ordered messages not yet handed to deliver;
+	// only the goroutine that set draining hands them over, so
+	// concurrent receivers cannot reorder the application's view, and a
+	// handler broadcasting into its own member just queues behind it.
+	outbox   []Message
+	draining bool
 
 	deliver func(Message)
 
@@ -101,7 +107,6 @@ func (m *Member) receive(msg Message) {
 		return
 	}
 	m.pending = append(m.pending, msg)
-	var ready []Message
 	for {
 		advanced := false
 		for i := 0; i < len(m.pending); i++ {
@@ -113,7 +118,7 @@ func (m *Member) receive(msg Message) {
 				// advance our send clock's knowledge.
 				m.sendClock = m.sendClock.Merge(dm.VT)
 				m.deliveredN++
-				ready = append(ready, dm)
+				m.outbox = append(m.outbox, dm)
 				advanced = true
 				break
 			}
@@ -123,13 +128,22 @@ func (m *Member) receive(msg Message) {
 		}
 	}
 	m.delayedN += uint64(len(m.pending))
-	handler := m.deliver
-	m.mu.Unlock()
-	if handler != nil {
-		for _, dm := range ready {
-			handler(dm)
-		}
+	if m.draining {
+		m.mu.Unlock()
+		return
 	}
+	m.draining = true
+	for len(m.outbox) > 0 {
+		dm := m.outbox[0]
+		m.outbox = m.outbox[1:]
+		m.mu.Unlock()
+		if m.deliver != nil { // set once at construction
+			m.deliver(dm)
+		}
+		m.mu.Lock()
+	}
+	m.draining = false
+	m.mu.Unlock()
 }
 
 // Pending returns the number of causally blocked messages.

@@ -37,6 +37,13 @@
 //     install watermarks carry over, so a directive stamped by the old
 //     central can never install after one stamped by the new).
 //
+// In the central-crash class every mirror slot runs the shipped
+// failover state machine (core.Takeover) over fault-plane links — the
+// existing control links carry TAKEOVER announcements and recovery
+// requests, and new per-pair peer links carry ELECT claims — ticked on
+// a virtual clock. The seed picks whether a designated standby
+// promotes itself or the mirrors elect the new central.
+//
 // The adaptation scenario runs in every chaos run: the workload's
 // checkpoint cadence pushes the central backup queue over the primary
 // threshold (a Figure-8-style overload ramp), a fixed-length calm tail
@@ -79,6 +86,7 @@ import (
 var chaosModel = costmodel.Model{
 	EventBase:      2 * time.Microsecond,
 	SerializeBase:  500 * time.Nanosecond,
+	FramePerEvent:  500 * time.Nanosecond,
 	SubmitBase:     200 * time.Nanosecond,
 	RequestBase:    5 * time.Microsecond,
 	CheckpointBase: time.Microsecond,
@@ -134,9 +142,9 @@ type ChaosConfig struct {
 	EnvelopeP95 time.Duration
 	// CentralCrash selects the central-crash schedule class: instead
 	// of a mirror crash-restart, the central site itself dies at the
-	// schedule's crash position and the warm-standby mirror is
-	// promoted in its place (invariant 7). Every mirror runs
-	// standby-armed in this class.
+	// schedule's crash position and the mirrors' takeover runtimes
+	// replace it (invariant 7). Every mirror runs standby-armed
+	// (journaling) in this class.
 	CentralCrash bool
 }
 
@@ -265,6 +273,15 @@ type chaosRig struct {
 	ctrlDown []*faultinject.Link // central → mirror control (probabilistic faults)
 	ctrlUp   []*faultinject.Link // mirror → central control (probabilistic faults)
 
+	// Central-crash class only: each mirror slot's takeover runtime,
+	// the mirror-to-mirror links carrying election claims, the central
+	// a takeover produced, and the slot it came from (-1 until then) —
+	// that slot is no longer a mirror.
+	rts          []*core.Takeover
+	peer         [][]*faultinject.Link
+	promoted     atomic.Pointer[core.PromotedCentral]
+	promotedSlot int
+
 	violations []string
 	// prevCommitted tracks the last observed cut per backup-queue
 	// incarnation: [0] central, [1..] mirrors (reset on crash-restart
@@ -317,8 +334,8 @@ func (r *chaosRig) newMirror(i int) *core.MirrorSite {
 		SiteID: uint8(i),
 		CtrlUp: r.ctrlUp[i],
 		// Central-crash class: every mirror runs standby-armed (journal
-		// + sealed cuts), so whichever is the lowest-indexed live site
-		// at the crash can be promoted.
+		// + sealed cuts), so whichever site the takeover promotes keeps
+		// serving delta rejoins.
 		Standby: r.cfg.CentralCrash,
 		OnPiggyback: func(round uint64, b []byte) {
 			ap.Apply(round, b)
@@ -402,6 +419,8 @@ func newChaosRig(cfg ChaosConfig) *chaosRig {
 		sched:         sched,
 		reg:           obs.NewRegistry(),
 		slots:         make([]atomic.Pointer[core.MirrorSite], cfg.Mirrors),
+		peer:          make([][]*faultinject.Link, cfg.Mirrors),
+		promotedSlot:  -1,
 		hist:          metrics.NewHistogram(0),
 		prevCommitted: make([]vclock.VC, cfg.Mirrors+1),
 		appliers:      make([]atomic.Pointer[adapt.Applier], cfg.Mirrors),
@@ -448,48 +467,59 @@ func newChaosRig(cfg ChaosConfig) *chaosRig {
 		r.ctrlDown = append(r.ctrlDown, r.plane.Wrap(fmt.Sprintf("ctrl.down.%d", i),
 			senderFunc(func(e *event.Event) error {
 				r.slowCharge(i, chaosModel.ControlCost, 1)
-				r.slots[i].Load().HandleControl(e)
+				r.deliverCtrl(i, e)
 				return nil
 			}), sched.CtrlFaults))
 		r.ctrlUp = append(r.ctrlUp, r.plane.Wrap(fmt.Sprintf("ctrl.up.%d", i),
 			senderFunc(func(e *event.Event) error {
-				r.cen().HandleControl(e)
+				if pc := r.promoted.Load(); pc != nil {
+					pc.HandleControl(e)
+				} else {
+					r.cen().HandleControl(e)
+				}
 				return nil
 			}), sched.CtrlFaults))
 		links[i] = core.MirrorLink{Data: r.data[i], Ctrl: r.ctrlDown[i]}
 	}
 
-	r.central.Store(core.NewCentral(core.CentralConfig{
-		Streams: 1,
-		Model:   chaosModel,
-		CPU:     r.cpus[0],
-		Main:    core.MainConfig{DelayHist: r.hist},
-		Mirrors: links,
-		OnMirrorSample: func(site int, s core.Sample) {
-			r.controller.ObserveSite(site, s)
-		},
+	r.installCentral(core.NewCentral(core.CentralConfig{
+		Streams:        1,
+		Model:          chaosModel,
+		CPU:            r.cpus[0],
+		Main:           core.MainConfig{DelayHist: r.hist},
+		Mirrors:        links,
+		OnMirrorSample: r.observeSite,
 	}))
-	// Manual rounds only: the driver sequences checkpoints against
-	// stream positions so the schedule is machine-speed independent.
-	r.cen().SetParams(false, 1, 1<<30)
-	// Decision point: each round's CHKPT observes the central's own
-	// queues and piggybacks whatever regime is current, stamped with
-	// the round.
-	r.cen().SetPiggyback(func() []byte {
-		r.controller.Observe(r.cen().Sample())
-		return adapt.EncodeRegime(r.controller.Current())
-	})
 	for i := 0; i < cfg.Mirrors; i++ {
 		r.slots[i].Store(r.newMirror(i))
+	}
+	if cfg.CentralCrash {
+		r.armTakeover()
 	}
 	r.member.Store(core.NewMembership(r.cen(), core.MembershipConfig{
 		MissedRounds: cfg.MissedRounds,
 		// An excluded site's last sample row must not pin the regime:
 		// the per-site revert rule considers live sites only.
-		OnFailure: func(site int) { r.controller.EvictSite(site) },
+		OnFailure: r.controller.EvictSite,
 	}))
 	return r
 }
+
+// installCentral makes c the rig's central. Rounds are manual only:
+// the driver sequences checkpoints against stream positions so the
+// schedule is machine-speed independent. Decision point: each round's
+// CHKPT observes the central's own queues and piggybacks whatever
+// regime is current, stamped with the round.
+func (r *chaosRig) installCentral(c *core.Central) {
+	c.SetParams(false, 1, 1<<30)
+	c.SetPiggyback(func() []byte {
+		r.controller.Observe(c.Sample())
+		return adapt.EncodeRegime(r.controller.Current())
+	})
+	r.central.Store(c)
+}
+
+func (r *chaosRig) observeSite(site int, s core.Sample) { r.controller.ObserveSite(site, s) }
 
 // check samples the continuously checkable invariants (1 and the
 // structural half of 2). It runs from the driver goroutine only.
@@ -506,6 +536,9 @@ func (r *chaosRig) check(stage string) {
 		r.violatef("%s: central backup: %v", stage, err)
 	}
 	for i := range r.slots {
+		if !r.isMirror(i) {
+			continue
+		}
 		m := r.slots[i].Load()
 		mcom := m.Backup().Committed()
 		if prev := r.prevCommitted[i+1]; prev != nil && !prev.LessEq(mcom) {
@@ -527,11 +560,14 @@ func (r *chaosRig) round(stage string) {
 }
 
 // flushCtrl releases reorder holdbacks on every control link so a held
-// reply or commit cannot outlive the run.
+// reply, commit or takeover frame cannot outlive the run.
 func (r *chaosRig) flushCtrl() {
 	for i := range r.ctrlDown {
 		_ = r.ctrlDown[i].Flush()
 		_ = r.ctrlUp[i].Flush()
+		for _, l := range r.peer[i] {
+			_ = l.Flush()
+		}
 	}
 }
 
@@ -542,6 +578,7 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 	sched := r.sched
 	res := ChaosResult{Schedule: sched}
 	defer func() {
+		r.settle()
 		for i := range r.slots {
 			r.slots[i].Load().Close()
 		}
@@ -628,8 +665,8 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 // drained cluster. Returns the backup events replayed at the rejoin.
 func (r *chaosRig) deltaLagScenario(fed *int) int {
 	lag := 0
-	if lag == r.sched.CrashMirror {
-		lag = 1
+	for lag < len(r.slots) && (lag == r.sched.CrashMirror || !r.isMirror(lag)) {
+		lag++
 	}
 	if lag >= len(r.slots) {
 		return 0 // no healthy peer to lag in a 1-mirror cluster
@@ -655,18 +692,10 @@ func (r *chaosRig) deltaLagScenario(fed *int) int {
 	r.data[lag].SetDown(true)
 	r.ctrlDown[lag].SetDown(true)
 	r.ctrlUp[lag].SetDown(true)
-	lagOut := func() bool {
-		for _, i := range r.mem().Failed() {
-			if i == lag {
-				return true
-			}
-		}
-		return false
-	}
-	for attempt := 0; !lagOut() && attempt < r.cfg.MissedRounds+8; attempt++ {
+	for attempt := 0; !r.mem().Excluded(lag) && attempt < r.cfg.MissedRounds+8; attempt++ {
 		r.round("delta-exclusion")
 	}
-	if !lagOut() {
+	if !r.mem().Excluded(lag) {
 		r.violatef("delta: failure detector reported %v, missing lagging mirror %d",
 			r.mem().Failed(), lag)
 	}
@@ -774,18 +803,11 @@ func (r *chaosRig) excludeVictim() {
 	// specifically matters: control-link faults may have spuriously
 	// excluded a healthy mirror already, so a bare "anyone failed?"
 	// check could pass without the victim ever leaving the quorum.
-	victimOut := func() bool {
-		for _, i := range r.mem().Failed() {
-			if i == r.sched.CrashMirror {
-				return true
-			}
-		}
-		return false
-	}
-	for attempt := 0; !victimOut() && attempt < r.cfg.MissedRounds+8; attempt++ {
+	victim := r.sched.CrashMirror
+	for attempt := 0; !r.mem().Excluded(victim) && attempt < r.cfg.MissedRounds+8; attempt++ {
 		r.round("exclusion")
 	}
-	if !victimOut() {
+	if !r.mem().Excluded(victim) {
 		r.violatef("exclusion: failure detector reported %v, missing victim %d",
 			r.mem().Failed(), r.sched.CrashMirror)
 	}
@@ -799,6 +821,9 @@ func (r *chaosRig) excludeVictim() {
 // converged cluster, so everyone gets re-admitted first.
 func (r *chaosRig) rejoinAll(stage string) {
 	for _, i := range r.mem().Failed() {
+		if !r.isMirror(i) {
+			continue
+		}
 		if _, err := r.mem().Rejoin(i); err != nil {
 			r.violatef("%s: rejoin mirror %d: %v", stage, i, err)
 		}
@@ -829,13 +854,116 @@ func (r *chaosRig) restartAndRejoin() int {
 	return replayed
 }
 
+// takeoverTick is the virtual tick period of the chaos takeover
+// runtimes; maxTakeoverTicks bounds the failover drive far beyond
+// detection plus an election at the schedule's fault rates.
+const (
+	takeoverTick     = time.Millisecond
+	maxTakeoverTicks = 400
+)
+
+// armTakeover gives every mirror slot the shipped takeover runtime over
+// fault-plane links. In standby mode slot 0 is the standby and the
+// others run a longer budget so it fires first; in election mode every
+// slot runs the same budget.
+func (r *chaosRig) armTakeover() {
+	n := len(r.slots)
+	for a := range r.peer {
+		r.peer[a] = make([]*faultinject.Link, n)
+		for b := range r.peer[a] {
+			b := b
+			r.peer[a][b] = r.plane.Wrap(fmt.Sprintf("peer.%d.%d", a, b), senderFunc(func(e *event.Event) error {
+				r.deliverCtrl(b, e)
+				return nil
+			}), r.sched.CtrlFaults)
+		}
+	}
+	for i := 0; i < n; i++ {
+		i := i
+		standby, budget := !r.sched.Election && i == 0, r.cfg.MissedRounds
+		if !r.sched.Election && i > 0 {
+			budget = 2*budget + 2 // the standby fires first
+		}
+		rt, err := core.NewTakeover(core.TakeoverConfig{
+			Site: r.slots[i].Load(), Self: i, Peers: n,
+			Standby: standby, Budget: budget, Interval: takeoverTick,
+			Directive: func() ([]byte, uint64, bool) {
+				reg, round, ok := r.appliers[i].Load().Current()
+				return adapt.EncodeRegime(reg), round, ok
+			},
+			Central:    core.CentralConfig{Model: chaosModel, CPU: r.cpus[i+1], Obs: r.reg, OnMirrorSample: r.observeSite},
+			Membership: core.MembershipConfig{MissedRounds: r.cfg.MissedRounds, OnFailure: r.controller.EvictSite},
+			Transport:  chaosPeer{r: r, slot: i},
+		})
+		if err != nil {
+			panic(err) // the manifest is built from the slots above
+		}
+		r.rts = append(r.rts, rt)
+	}
+}
+
+// deliverCtrl hands a control-downlink event to mirror slot i: takeover
+// frames to its runtime, everything else to the site.
+func (r *chaosRig) deliverCtrl(i int, e *event.Event) {
+	if r.rts == nil || !r.rts[i].HandleControl(e) {
+		r.slots[i].Load().HandleControl(e)
+	}
+}
+
+// settle waits for the rejoin transfers the takeover runtimes started.
+func (r *chaosRig) settle() {
+	for _, rt := range r.rts {
+		rt.Settle()
+	}
+}
+
+// isMirror reports whether slot i still hosts a mirror (a takeover
+// turns the promoted slot into the central).
+func (r *chaosRig) isMirror(i int) bool { return i != r.promotedSlot }
+
+func slotAddr(i int) string { return fmt.Sprintf("mirror%d", i) }
+
+// chaosPeer is one slot's core.TakeoverTransport over the fault plane:
+// claims ride the peer links, and the promoted central takes over the
+// crashed central's links, fault streams included. Ticks start at the
+// crash, so the central a slot can reach is alive exactly once a
+// takeover has produced one.
+type chaosPeer struct {
+	r    *chaosRig
+	slot int
+}
+
+func (p chaosPeer) SendPeer(slot int, e *event.Event) { _ = p.r.peer[p.slot][slot].Submit(e) }
+func (p chaosPeer) Repoint(string)                    { p.r.ctrlUp[p.slot].SetDown(false) }
+func (p chaosPeer) ProbeCentral() bool                { return p.r.promoted.Load() != nil }
+
+func (p chaosPeer) Downlink(slot int) core.MirrorLink {
+	p.r.data[slot].SetDown(false)
+	p.r.ctrlDown[slot].SetDown(false)
+	return core.MirrorLink{Data: p.r.data[slot], Ctrl: p.r.ctrlDown[slot]}
+}
+
+// ServeCentral installs the promoted central in the rig, which feeds
+// and checkpoints it from now on exactly like the original.
+func (p chaosPeer) ServeCentral(pc *core.PromotedCentral) string {
+	r := p.r
+	if !r.promoted.CompareAndSwap(nil, pc) {
+		r.violatef("promotion: mirror %d promoted while mirror %d already serves epoch %d",
+			p.slot, r.promotedSlot, r.promoted.Load().Ann.Epoch)
+		return slotAddr(p.slot)
+	}
+	r.promotedSlot = p.slot
+	r.installCentral(pc.Central)
+	r.member.Store(pc.Member)
+	return slotAddr(p.slot)
+}
+
 // promoteCentral executes the central-crash schedule class: the
-// current central dies at its crash position and the warm-standby
-// mirror (the lowest-indexed live site) is promoted in its place. The
-// sequence mirrors a real deployment's failover path — detect via
-// missed rounds, adopt local state, restart the coordinator above the
-// old epoch, re-admit the survivors — with two harness-only additions:
-// the pipeline is quiesced at the crash position first (so the
+// current central dies at its crash position and the mirrors' takeover
+// runtimes replace it — the standby promoting itself, or an election —
+// exactly as a deployment's would, ticked on the virtual clock until
+// every survivor has rejoined. Two harness-only additions: the
+// pipeline is quiesced at the crash position first (so the
 // delivered-event set, and with it the replayed StateDigest, stays a
 // pure function of the seed), and a checkpoint commit is forced before
 // the crash so every seed demonstrates zero committed-event loss
@@ -856,11 +984,14 @@ func (r *chaosRig) promoteCentral(fed uint64) {
 		r.violatef("pre-crash: no checkpoint cut committed before the central crash")
 	}
 	r.preCrashCut = preCut
-	// Control faults may have spuriously excluded the standby; the
-	// promotion picks the lowest-indexed *live* mirror, and the chaos
+	// Control faults may have spuriously excluded a mirror; the
 	// scenarios that follow assume a full quorum, so re-admit everyone
 	// while the old central is still alive to serve the transfer.
 	r.rejoinAll("pre-crash")
+	var preRound uint64
+	for i := range r.slots {
+		preRound = max(preRound, r.slots[i].Load().LastRound())
+	}
 
 	// Crash. Drain first: the sending task's exit path flushes the
 	// outbox rings over still-up links, so draining before partitioning
@@ -874,78 +1005,43 @@ func (r *chaosRig) promoteCentral(fed uint64) {
 	}
 	old.Close()
 
-	// The standby is the lowest-indexed live mirror (Failed() reports
-	// ascending indices, so one pass suffices).
-	standby := 0
-	for _, f := range r.mem().Failed() {
-		if f == standby {
-			standby++
+	// Failover: tick every runtime until one has promoted and every
+	// survivor is back in its quorum, settling the rejoin goroutines
+	// after every step so the drive stays sequential.
+	converged := func() bool { // only the promoted slot itself stays out
+		pc := r.promoted.Load()
+		return pc != nil && len(pc.Member.Failed()) == 1
+	}
+	now := time.Unix(0, 0)
+	for tick := 0; tick < maxTakeoverTicks && !converged(); tick++ {
+		now = now.Add(takeoverTick)
+		for _, rt := range r.rts {
+			rt.Tick(now)
+			r.settle()
 		}
+		r.flushCtrl()
+		r.settle()
 	}
-	if standby >= len(r.slots) {
-		r.violatef("promotion: no live mirror left to promote")
-		return
-	}
-	site := r.slots[standby].Load()
-
-	// Failure detection: the standby's monitor sees no new round for
-	// its whole budget and declares the central dead. The first tick
-	// baselines (the site has observed rounds), the rest miss.
-	mon := core.NewStandbyMonitor(site.LastRound, r.cfg.MissedRounds)
-	fired := false
-	for t := 0; t < r.cfg.MissedRounds+2 && !fired; t++ {
-		fired = mon.Tick()
-	}
-	if !fired {
+	pc := r.promoted.Load()
+	if pc == nil {
 		r.violatef("promotion: standby monitor never declared the central failed")
 		return
 	}
-
-	// Adopt: capture the standby's local view and build the new central
-	// on it, one epoch past the failed one. The directive pair comes
-	// from the standby's applier so PublishDirective re-broadcasts the
-	// installed regime idempotently.
-	state := site.Promote()
-	state.Epoch = old.Epoch() + 1
-	if ap := r.appliers[standby].Load(); ap != nil {
-		if reg, round, ok := ap.Current(); ok {
-			state.Directive = adapt.EncodeRegime(reg)
-			state.DirectiveRound = round
-		}
+	if !converged() {
+		r.violatef("promotion: survivors %v never rejoined the promoted central", pc.Member.Failed())
 	}
-	preRound := state.RoundFloor
-	links := make([]core.MirrorLink, len(r.slots))
-	for i := range r.slots {
-		links[i] = core.MirrorLink{Data: r.data[i], Ctrl: r.ctrlDown[i]}
-	}
-	nc := core.NewCentral(core.CentralConfig{
-		Streams: 1,
-		Model:   chaosModel,
-		CPU:     r.cpus[standby+1],
-		Mirrors: links,
-		Obs:     r.reg,
-		OnMirrorSample: func(site int, s core.Sample) {
-			r.controller.ObserveSite(site, s)
-		},
-		Resume: &state,
-	})
-	nc.SetParams(false, 1, 1<<30)
-	nc.SetPiggyback(func() []byte {
-		r.controller.Observe(nc.Sample())
-		return adapt.EncodeRegime(r.controller.Current())
-	})
-	r.central.Store(nc)
+	nc := pc.Central
 	// The new backup queue is a fresh incarnation seeded at the
-	// standby's cut; the new Mirrored counter starts at zero.
+	// promoted site's cut; the new Mirrored counter starts at zero.
 	r.prevCommitted[0] = nil
 	r.fedBase = fed
 
 	// Invariant 7, promotion-instant half: the adopted state covers the
 	// last committed cut (nothing durable lost) and round numbering
 	// restarts strictly above everything the old epoch stamped.
-	if preCut != nil && !preCut.LessEq(nc.Main().LastProcessed()) {
+	if preCut != nil && !preCut.LessEq(pc.Ann.Anchor) {
 		r.violatef("promotion: adopted state %v below last committed cut %v",
-			nc.Main().LastProcessed(), preCut)
+			pc.Ann.Anchor, preCut)
 	}
 	if nc.Epoch() != old.Epoch()+1 {
 		r.violatef("promotion: epoch %d, want %d", nc.Epoch(), old.Epoch()+1)
@@ -954,54 +1050,12 @@ func (r *chaosRig) promoteCentral(fed uint64) {
 		r.violatef("promotion: epoch base %d not above old epoch's round watermark %d",
 			checkpoint.EpochBase(nc.Epoch()), preRound)
 	}
-
-	// Re-point the survivors: a fresh Membership starts with every slot
-	// excluded, then each is re-admitted through RejoinSince. The
-	// standby's own slot restarts as a fresh mirror (its main unit now
-	// belongs to the central); survivors present their committed cut
-	// for a delta transfer only when their arrival watermark is covered
-	// by the adopted state — a survivor the old central fanned out to
-	// past the standby's progress holds mutations the adopted journal
-	// never saw, and must take the snapshot path (Install replaces
-	// wholesale).
-	nm := core.NewMembership(nc, core.MembershipConfig{
-		MissedRounds: r.cfg.MissedRounds,
-		OnFailure:    func(site int) { r.controller.EvictSite(site) },
-	})
-	for i := range r.slots {
-		if err := nm.Exclude(i); err != nil {
-			r.violatef("promotion: exclude mirror %d: %v", i, err)
-		}
-	}
-	r.member.Store(nm)
-	for i := range r.slots {
-		r.data[i].SetDown(false)
-		r.ctrlDown[i].SetDown(false)
-		r.ctrlUp[i].SetDown(false)
-	}
-	r.retireApplier(standby)
-	promoted := r.slots[standby].Swap(r.newMirror(standby))
-	promoted.Close() // detached: stops aux plumbing only, the main unit lives on
-	r.prevCommitted[standby+1] = nil
-	anchor := nc.Main().LastProcessed()
-	for i := range r.slots {
-		var cut vclock.VC
-		if i != standby {
-			m := r.slots[i].Load()
-			if m.ArrivalHigh().LessEq(anchor) {
-				cut = m.Backup().Committed()
-			}
-		}
-		if _, err := nm.RejoinSince(i, cut); err != nil {
-			r.violatef("promotion: rejoin mirror %d: %v", i, err)
-		}
-	}
 	r.check("promotion")
 	r.audit.Append(obs.AuditEntry{
 		Action:     "promotion",
-		Site:       fmt.Sprintf("mirror%d", standby),
+		Site:       slotAddr(pc.Slot),
 		OldCentral: "central",
-		NewCentral: fmt.Sprintf("mirror%d", standby),
+		NewCentral: slotAddr(pc.Slot),
 		Epoch:      nc.Epoch(),
 	})
 }
@@ -1018,6 +1072,9 @@ func (r *chaosRig) finish(res *ChaosResult) {
 	centralLP := r.cen().Main().LastProcessed()
 	deadline := time.Now().Add(20 * time.Second)
 	for i := range r.slots {
+		if !r.isMirror(i) {
+			continue
+		}
 		for !centralLP.LessEq(r.slots[i].Load().Main().LastProcessed()) {
 			if time.Now().After(deadline) {
 				r.violatef("drain: mirror %d stuck at %v, central at %v",
@@ -1049,6 +1106,9 @@ func (r *chaosRig) finish(res *ChaosResult) {
 	_, _ = h.Write(want)
 	res.StateDigest = h.Sum64()
 	for i := range r.slots {
+		if !r.isMirror(i) {
+			continue
+		}
 		m := r.slots[i].Load()
 		got := m.Main().Engine().State().Snapshot()
 		if string(got) != string(want) {
@@ -1085,6 +1145,9 @@ func (r *chaosRig) finish(res *ChaosResult) {
 	if !r.regimesConverged() {
 		want := r.controller.Current()
 		for i := range r.appliers {
+			if !r.isMirror(i) {
+				continue
+			}
 			reg, round, ok := r.appliers[i].Load().Current()
 			id, _, _ := r.slots[i].Load().Regime()
 			if !ok || reg.ID != want.ID || id != want.ID {
@@ -1112,12 +1175,15 @@ func (r *chaosRig) finish(res *ChaosResult) {
 		}
 		base := checkpoint.EpochBase(r.cen().Epoch())
 		var maxRound uint64
+		survivors := 0
 		for i := range r.slots {
-			if lr := r.slots[i].Load().LastRound(); lr > maxRound {
-				maxRound = lr
+			if !r.isMirror(i) {
+				continue
 			}
+			survivors++
+			maxRound = max(maxRound, r.slots[i].Load().LastRound())
 		}
-		if maxRound < base {
+		if survivors > 0 && maxRound < base {
 			r.violatef("promotion: no mirror observed a round in epoch %d (max round %d < epoch base %d)",
 				r.cen().Epoch(), maxRound, base)
 		}
@@ -1130,6 +1196,9 @@ func (r *chaosRig) finish(res *ChaosResult) {
 func (r *chaosRig) regimesConverged() bool {
 	want := r.controller.Current().ID
 	for i := range r.appliers {
+		if !r.isMirror(i) {
+			continue
+		}
 		reg, _, ok := r.appliers[i].Load().Current()
 		if !ok || reg.ID != want {
 			return false
@@ -1146,6 +1215,9 @@ func (r *chaosRig) faultCount() uint64 {
 	var total uint64
 	for i := range r.data {
 		total += r.data[i].Injected() + r.ctrlDown[i].Injected() + r.ctrlUp[i].Injected()
+		for _, l := range r.peer[i] {
+			total += l.Injected()
+		}
 	}
 	return total
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strconv"
 	"testing"
 
 	"adaptmirror/internal/faultinject"
@@ -35,34 +36,13 @@ func TestChaosSeeds(t *testing.T) {
 }
 
 func (c ChaosConfig) name() string {
-	return "seed=" + itoa(c.Seed)
-}
-
-func itoa(n int64) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [24]byte
-	i := len(b)
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
+	return "seed=" + strconv.FormatInt(c.Seed, 10)
 }
 
 // TestChaosCentralCrashPromotion runs the central-crash schedule
 // class over a spread of seeds: the central site itself dies mid-run,
-// the warm-standby mirror is promoted, and the run continues —
+// the mirrors' takeover runtimes promote the standby or elect a new
+// central (the seed picks which), and the run continues —
 // survivors re-pointed, ingest resumed, the adaptation ramp and the
 // delta-lag scenario exercised against the promoted central.
 // Invariant 7 (promotion is lossless and monotone) is machine-checked
@@ -79,7 +59,7 @@ func TestChaosCentralCrashPromotion(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		seed := seed
-		t.Run("central-seed="+itoa(seed), func(t *testing.T) {
+		t.Run("central-seed="+strconv.FormatInt(seed, 10), func(t *testing.T) {
 			res := RunChaos(ChaosConfig{Seed: seed, CentralCrash: true})
 			if res.Failed() {
 				t.Fatal(res.Report())
@@ -118,9 +98,11 @@ func TestChaosCentralCrashPromotion(t *testing.T) {
 // TestChaosCentralCrashScheduleClass spot-checks the central-crash
 // schedule generator: the class is marked, the crash position stays in
 // the configured band, the old central never returns (no down window
-// to wait out), and the slow-mirror pick never lands on mirror 0 —
-// the deterministic promotion candidate.
+// to wait out), the slow-mirror pick never lands on mirror 0 — the
+// standby-mode promotion candidate — and the seeds cover both standby
+// promotion and election.
 func TestChaosCentralCrashScheduleClass(t *testing.T) {
+	modes := map[bool]bool{}
 	for seed := int64(0); seed < 64; seed++ {
 		sched := faultinject.NewCentralCrashSchedule(seed, 3)
 		if !sched.CrashCentral {
@@ -138,6 +120,10 @@ func TestChaosCentralCrashScheduleClass(t *testing.T) {
 		if sched.SlowMirror == 0 {
 			t.Fatalf("seed %d: slow mirror is the promotion candidate", seed)
 		}
+		modes[sched.Election] = true
+	}
+	if !modes[false] || !modes[true] {
+		t.Errorf("failover modes not covered: standby=%v election=%v", modes[false], modes[true])
 	}
 }
 
@@ -163,28 +149,38 @@ func TestChaosDeterministicReplay(t *testing.T) {
 		t.Fatal(a.Report())
 	}
 
-	// Same contract for the central-crash class: the crash position,
-	// the promotion, and everything the promoted central ingests are
-	// all seed-determined, so verdict and digest replay exactly — the
-	// crash-position quiesce in promoteCentral exists precisely to keep
-	// this true.
-	ca := RunChaos(ChaosConfig{Seed: seed, CentralCrash: true})
-	cb := RunChaos(ChaosConfig{Seed: seed, CentralCrash: true})
-	if ca.Schedule.String() != cb.Schedule.String() {
-		t.Fatalf("central-crash schedule not deterministic:\n  %s\n  %s", ca.Schedule, cb.Schedule)
-	}
-	if ca.Failed() != cb.Failed() {
-		t.Fatalf("central-crash verdict not deterministic:\n  %s\n  %s", ca.Report(), cb.Report())
-	}
-	if ca.StateDigest != cb.StateDigest {
-		t.Fatalf("central-crash state digest not deterministic: %016x vs %016x",
-			ca.StateDigest, cb.StateDigest)
-	}
-	if ca.Failed() {
-		t.Fatal(ca.Report())
-	}
-	if ca.Promotions != 1 || cb.Promotions != 1 {
-		t.Fatalf("central-crash replay promotions %d/%d, want 1/1", ca.Promotions, cb.Promotions)
+	// Same contract for the central-crash class, pinned for one seed
+	// of each failover mode: the crash position, the detection, the
+	// election or standby promotion, and everything the promoted
+	// central ingests are all seed-determined, so verdict and digest
+	// replay exactly — the crash-position quiesce in promoteCentral and
+	// the virtual-clock failover drive exist precisely to keep this
+	// true.
+	for _, tc := range []struct {
+		seed     int64
+		election bool
+	}{{seed, true}, {seed + 1, false}} {
+		ca := RunChaos(ChaosConfig{Seed: tc.seed, CentralCrash: true})
+		cb := RunChaos(ChaosConfig{Seed: tc.seed, CentralCrash: true})
+		if ca.Schedule.Election != tc.election {
+			t.Fatalf("seed %d no longer draws election=%v: %s", tc.seed, tc.election, ca.Schedule)
+		}
+		if ca.Schedule.String() != cb.Schedule.String() {
+			t.Fatalf("central-crash schedule not deterministic:\n  %s\n  %s", ca.Schedule, cb.Schedule)
+		}
+		if ca.Failed() != cb.Failed() {
+			t.Fatalf("central-crash verdict not deterministic:\n  %s\n  %s", ca.Report(), cb.Report())
+		}
+		if ca.StateDigest != cb.StateDigest {
+			t.Fatalf("central-crash state digest not deterministic: %016x vs %016x",
+				ca.StateDigest, cb.StateDigest)
+		}
+		if ca.Failed() {
+			t.Fatal(ca.Report())
+		}
+		if ca.Promotions != 1 || cb.Promotions != 1 {
+			t.Fatalf("central-crash replay promotions %d/%d, want 1/1", ca.Promotions, cb.Promotions)
+		}
 	}
 }
 

@@ -63,12 +63,6 @@ type Config struct {
 	Transport Transport
 	// Shaping applies to TCP links (TransportTCP only).
 	Shaping simnet.Profile
-	// LegacyFrames, when LegacyFrames[i] is true, forces mirror i's
-	// data link onto the per-event legacy framing instead of columnar
-	// batch frames (TransportTCP only) — the mixed-generation interop
-	// configuration, where an upgraded central feeds a not-yet-upgraded
-	// mirror.
-	LegacyFrames []bool
 	// Params are the initial mirroring parameters.
 	Params core.Params
 	// Model is the CPU cost model for every site.
@@ -299,9 +293,6 @@ func (cl *Cluster) siteMainCfg(cfg Config) core.MainConfig {
 		RequestHist:    cl.RequestHist,
 	}
 }
-
-// Start returns the cluster construction instant (experiment t=0).
-func (cl *Cluster) Start() time.Time { return cl.start }
 
 // Targets returns the main units that serve client requests: the
 // mirror sites, or the central site when no mirrors exist.
@@ -586,9 +577,6 @@ func (cl *Cluster) wireTCP(cfg Config) ([]core.MirrorLink, error) {
 		dataLink, err := echo.NewSendLink(dataConn, "data")
 		if err != nil {
 			return nil, fmt.Errorf("cluster: mirror %d data handshake: %w", i, err)
-		}
-		if i < len(cfg.LegacyFrames) && cfg.LegacyFrames[i] {
-			dataLink.SetLegacyFraming(true)
 		}
 		ctrlConn, err := simnet.Dial(ln.Addr().String(), cfg.Shaping)
 		if err != nil {

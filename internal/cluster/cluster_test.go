@@ -15,6 +15,7 @@ import (
 var lightModel = costmodel.Model{
 	EventBase:      2 * time.Microsecond,
 	SerializeBase:  500 * time.Nanosecond,
+	FramePerEvent:  500 * time.Nanosecond,
 	SubmitBase:     200 * time.Nanosecond,
 	RequestBase:    5 * time.Microsecond,
 	CheckpointBase: time.Microsecond,

@@ -156,7 +156,7 @@ func BuildEvents(opts Options) []*event.Event {
 	deltaGen := delta.New(delta.Config{
 		Flights:    opts.Flights,
 		Passengers: opts.Passengers,
-		EventSize:  minInt(opts.EventSize, 256),
+		EventSize:  min(opts.EventSize, 256),
 		Stream:     1,
 		Seed:       opts.Seed + 2,
 	})
@@ -177,13 +177,6 @@ func BuildEvents(opts Options) []*event.Event {
 			return out
 		}
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // RunExperiment executes one configuration and reports its result.

@@ -335,7 +335,7 @@ func NewCentral(cfg CentralConfig) *Central {
 		},
 	}
 	c.coord = &checkpoint.Coordinator{
-		Propose: func() vclock.VC { return c.backup.Last() },
+		Propose: c.proposal,
 		Broadcast: func(e *event.Event) {
 			for i, m := range cfg.Mirrors {
 				if !c.mirrorAlive(i) {
@@ -575,7 +575,9 @@ func (c *Central) sendingTask() {
 		// clients see unreduced state updates. Checkpointing runs at a
 		// frequency counted in processed events (the paper's "once per
 		// 50 processed events"), independent of how many survive the
-		// mirroring filter.
+		// mirroring filter. The triggers fire once the batch is backed
+		// up: a round started earlier would find none of it to propose.
+		triggers := 0
 		for _, e := range batch {
 			if fe := fns.fwd(e); fe != nil {
 				if tracer != nil {
@@ -587,10 +589,7 @@ func (c *Central) sendingTask() {
 			}
 			if c.sinceCk.Add(1) >= uint64(p.CheckpointFreq) {
 				c.sinceCk.Store(0)
-				select {
-				case c.chkptTrigger <- struct{}{}:
-				default:
-				}
+				triggers++
 			}
 		}
 
@@ -629,6 +628,7 @@ func (c *Central) sendingTask() {
 		}
 		if len(filtered) == 0 {
 			vb.Release()
+			c.triggerCheckpoints(triggers)
 			continue
 		}
 		bytes := 0
@@ -659,6 +659,16 @@ func (c *Central) sendingTask() {
 		c.mirrored.Add(uint64(len(filtered)))
 		c.mirroredW.Add(weight)
 		vb.Release()
+		c.triggerCheckpoints(triggers)
+	}
+}
+
+// triggerCheckpoints signals the control task up to n times. The
+// sending task is the only sender, so a send below capacity never
+// blocks, and a full trigger queue already guarantees rounds.
+func (c *Central) triggerCheckpoints(n int) {
+	for ; n > 0 && len(c.chkptTrigger) < cap(c.chkptTrigger); n-- {
+		c.chkptTrigger <- struct{}{}
 	}
 }
 
@@ -820,11 +830,23 @@ func (c *Central) Checkpoint() bool {
 	return c.runRound()
 }
 
+// proposal is the cut a CHKPT proposes: the newest backed-up event,
+// or the committed cut once a commit has trimmed the queue empty, so
+// rounds — and the failure detector's miss accounting — keep running
+// while traffic idles (Backup.Commit and SealCut ignore a repeated
+// cut). Nil only before the first event is backed up.
+func (c *Central) proposal() vclock.VC {
+	if last := c.backup.Last(); last != nil {
+		return last
+	}
+	return c.backup.Committed()
+}
+
 // runRound performs one checkpoint round with membership bookkeeping:
 // the round is counted against every live mirror before it starts, and
 // replies arriving during the round clear their site's miss counter.
 func (c *Central) runRound() bool {
-	if c.backup.Last() == nil {
+	if c.proposal() == nil {
 		return false
 	}
 	// Tick wire telemetry at round granularity, before the round's

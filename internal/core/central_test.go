@@ -382,13 +382,13 @@ func TestRecoveryReplay(t *testing.T) {
 	fresh := NewMirrorSite(MirrorSiteConfig{})
 	defer fresh.Close()
 	var sawState bool
-	n, err := r.central.RecoverMirror(senderFunc(func(e *event.Event) error {
+	n, err := r.central.RecoverMirrorSince(senderFunc(func(e *event.Event) error {
 		if e.Type == event.TypeRecoveryState {
 			sawState = true
 		}
 		fresh.HandleData(e)
 		return nil
-	}))
+	}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,24 +414,29 @@ func TestRecoveryReplay(t *testing.T) {
 	}
 }
 
+// TestHandleRecoveryRequest: a TypeRecoveryRequest names the
+// requesting slot in Seq and its committed cut in VT; the central
+// serves it through Membership.RejoinSince, which refuses unknown
+// slots and sites that are not excluded.
 func TestHandleRecoveryRequest(t *testing.T) {
 	r := newRig(t, 1, func(cfg *CentralConfig) {
 		cfg.Params = Params{CheckpointFreq: 1 << 30}
 	})
+	member := NewMembership(r.central, MembershipConfig{})
 	r.feedPositions(t, 1, 5, 32)
-	r.drainAll()
 	req := event.NewControl(event.TypeRecoveryRequest, nil)
 	req.Seq = 0
-	if _, err := r.central.HandleRecoveryRequest(req); err != nil {
+	if _, err := member.RejoinSince(int(req.Seq), req.VT); err == nil {
+		t.Fatal("rejoining a live mirror must fail")
+	}
+	if err := member.Exclude(int(req.Seq)); err != nil {
 		t.Fatal(err)
 	}
-	bad := event.NewControl(event.TypeRecoveryRequest, nil)
-	bad.Seq = 99
-	if _, err := r.central.HandleRecoveryRequest(bad); err == nil {
-		t.Fatal("unknown mirror index must fail")
+	if _, err := member.RejoinSince(int(req.Seq), req.VT); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := r.central.HandleRecoveryRequest(event.NewControl(event.TypeChkpt, nil)); err == nil {
-		t.Fatal("non-recovery event must fail")
+	if _, err := member.RejoinSince(99, nil); err == nil {
+		t.Fatal("unknown mirror index must fail")
 	}
 }
 

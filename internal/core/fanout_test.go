@@ -211,6 +211,7 @@ func TestSlowLinkDoesNotPerturbMainUnit(t *testing.T) {
 	model := costmodel.Model{
 		EventBase:     20 * time.Microsecond,
 		SerializeBase: 2 * time.Microsecond,
+		FramePerEvent: 2 * time.Microsecond,
 		SubmitBase:    3 * time.Microsecond,
 	}
 	c := NewCentral(CentralConfig{

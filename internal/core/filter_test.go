@@ -74,6 +74,7 @@ func TestNICOffloadMovesAuxWork(t *testing.T) {
 	model := costmodel.Model{
 		EventBase:     10 * time.Microsecond,
 		SerializeBase: 40 * time.Microsecond, // exaggerated for the assertion
+		FramePerEvent: 40 * time.Microsecond,
 		SubmitBase:    40 * time.Microsecond,
 	}
 	mirror := NewMirrorSite(MirrorSiteConfig{})

@@ -163,7 +163,7 @@ func TestRecoveryAfterPartialCommit(t *testing.T) {
 	r.drainAll()
 	r.central.Checkpoint() // trims everything processed
 
-	snap := r.central.BuildRecovery()
+	snap := r.central.BuildRecoverySince(nil)
 	if len(snap.State) == 0 {
 		t.Fatal("empty recovery state")
 	}

@@ -379,9 +379,6 @@ func (m *MainUnit) Processed() uint64 { return m.engine.State().Processed() }
 // LastProcessed reports EDE progress for checkpointing.
 func (m *MainUnit) LastProcessed() vclock.VC { return m.engine.LastProcessed() }
 
-// QueueLen returns the depth of the unit's inbound event queue.
-func (m *MainUnit) QueueLen() int { return m.in.Len() }
-
 // DrainEvents stops accepting events and blocks until every delivered
 // event has been processed. Request serving stays available until
 // Close.

@@ -17,7 +17,7 @@ import (
 // consecutive checkpoint rounds is excluded from mirroring and from
 // the commit quorum so the healthy sites keep trimming their backup
 // queues; a recovered site is re-admitted through a state-snapshot +
-// backup-replay transfer (RecoverMirror) and rejoins the quorum.
+// backup-replay transfer (RejoinSince) and rejoins the quorum.
 //
 // Site identity travels in the Stream field of checkpoint replies
 // (unused for control events): mirrors stamp their assigned SiteID.
@@ -108,6 +108,13 @@ func (m *Membership) alive(i int) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return i < len(m.failed) && !m.failed[i]
+}
+
+// Excluded reports whether mirror i is voted out of the quorum.
+func (m *Membership) Excluded(i int) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return i >= 0 && i < len(m.failed) && m.failed[i]
 }
 
 // Failed returns the indices of excluded mirrors.

@@ -264,8 +264,12 @@ func (m *MirrorSite) LastRound() uint64 { return m.lastRound.Load() }
 // backup queue (they are not mirrored history, they replace it);
 // adaptation directives (recovery snapshots carry one) go straight to
 // the piggyback hook, never near the queues.
+//
+// Every Handle* entry point counts an event as received only after it
+// has been handed to the ready queue: a drain that waits for
+// Received to reach the sent count may then close that queue safely.
 func (m *MirrorSite) HandleData(e *event.Event) {
-	m.received.Add(1)
+	defer m.received.Add(1)
 	if e.Type == event.TypeAdapt {
 		m.noteRound(e.Seq)
 		if m.cfg.OnPiggyback != nil && len(e.Payload) > 0 {
@@ -297,7 +301,7 @@ func (m *MirrorSite) HandleDataBatch(events []*event.Event) {
 	if len(events) == 0 {
 		return
 	}
-	m.received.Add(uint64(len(events)))
+	defer m.received.Add(uint64(len(events)))
 	// Common case first: every event admitted, none of them recovery
 	// state — the original slice feeds both queues with no copying.
 	// On the first exception, fall back to filtered copies.
@@ -370,7 +374,7 @@ func (m *MirrorSite) HandleOwnedBatch(events []*event.Event, ref event.Ref) erro
 	if len(events) == 0 {
 		return nil
 	}
-	m.received.Add(uint64(len(events)))
+	defer m.received.Add(uint64(len(events)))
 	m.batchMu.Lock()
 	defer m.batchMu.Unlock()
 	toBackup := m.scratchBackup[:0]

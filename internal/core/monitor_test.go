@@ -2,10 +2,8 @@ package core
 
 import "testing"
 
-// TestSampleWireExtension pins the mixed-generation wire contract: the
-// extended 24-byte encoding round-trips all six variables, and a
-// legacy 12-byte payload (pre-wire-telemetry sites) still decodes with
-// the extension fields zero.
+// TestSampleWireExtension pins the wire contract: the 24-byte encoding
+// round-trips all six variables, and a truncated payload is rejected.
 func TestSampleWireExtension(t *testing.T) {
 	s := Sample{Ready: 1, Backup: 2, Pending: 3, WireBytes: 400_000, Outbox: 5, ApplyLag: 600}
 	b := EncodeSample(s)
@@ -20,19 +18,9 @@ func TestSampleWireExtension(t *testing.T) {
 		t.Fatalf("round trip = %+v, want %+v", got, s)
 	}
 
-	// A legacy peer ships only the leading three variables.
-	legacy, err := DecodeSample(b[:sampleWireV1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Sample{Ready: 1, Backup: 2, Pending: 3}
-	if legacy != want {
-		t.Fatalf("legacy decode = %+v, want %+v", legacy, want)
-	}
-
-	// Truncated below the v1 floor still fails.
-	if _, err := DecodeSample(b[:sampleWireV1-1]); err == nil {
-		t.Fatal("sub-v1 payload must fail to decode")
+	// Anything shorter than the full encoding fails to decode.
+	if _, err := DecodeSample(b[:sampleWire-1]); err == nil {
+		t.Fatal("truncated sample must fail to decode")
 	}
 }
 

@@ -75,12 +75,6 @@ func (b *paramBox) get() Params {
 	return b.p
 }
 
-func (b *paramBox) set(p Params) {
-	b.mu.Lock()
-	b.p = p.withDefaults()
-	b.mu.Unlock()
-}
-
 // update applies f to the current params atomically.
 func (b *paramBox) update(f func(*Params)) {
 	b.mu.Lock()

@@ -2,7 +2,9 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"sync"
 	"sync/atomic"
 
@@ -14,11 +16,11 @@ import (
 // Warm-standby central promotion. The paper's architecture hangs every
 // mirror, the checkpoint coordinator, and the directive publisher off
 // one central site; this file implements the failover path that keeps
-// the cluster alive when that site dies. A designated standby mirror
-// (config-ordered: the lowest-indexed live mirror) detects the failure
-// through missed checkpoint rounds (StandbyMonitor), captures its local
-// view (MirrorSite.Promote), and a new Central built with
-// CentralConfig.Resume takes over:
+// the cluster alive when that site dies. The takeover runtime
+// (takeover.go) detects the failure through missed checkpoint rounds
+// (StandbyMonitor) and picks the mirror to promote; that mirror
+// captures its local view (MirrorSite.Promote), and a new Central built
+// with CentralConfig.Resume takes over:
 //
 //   - the standby's main unit is adopted whole — EDE state, processed
 //     watermark, and (for a Standby-armed site) the mutation journal
@@ -103,8 +105,8 @@ func (m *MirrorSite) Promote() ResumeState {
 // StandbyMonitor is the failure detector a standby mirror runs against
 // its own control path: the central is presumed failed after Budget+1
 // consecutive detection intervals without a new checkpoint round.
-// Drive Tick once per expected round interval — from a wall-clock
-// ticker in a deployment, or deterministically from a test harness.
+// The takeover runtime (takeover.go) ticks it once per detection
+// interval.
 type StandbyMonitor struct {
 	// LastRound reads the observed round watermark (MirrorSite.LastRound).
 	LastRound func() uint64
@@ -158,36 +160,35 @@ func (s *StandbyMonitor) Missed() int {
 	return s.missed
 }
 
-// Fired reports whether failure has been declared.
-func (s *StandbyMonitor) Fired() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fired
-}
-
-// --- Wire takeover protocol ---------------------------------------------
-//
-// The in-process promotion above becomes a deployed-cluster protocol
-// with two control frames carried on the existing mirror-to-mirror
-// channels (every mirrord site exports a ctrl.down channel any peer can
-// dial):
-//
-//   - TAKEOVER (event.TypeTakeover): the promoted central's
-//     announcement, retried on each survivor's ctrl.down until it
-//     rejoins. Epoch-fenced: a survivor records the first announcement
-//     it accepts for an epoch and rejects any later announcement for
-//     the same or an older epoch from a different address, so two
-//     would-be centrals can never split the cluster.
-//   - ELECT (event.TypeElect): an election claim exchanged by mirrors
-//     when no standby was designated. The winner is deterministic:
-//     highest committed cut first (commit quorum requires every live
-//     participant, so any site's committed cut is covered by all
-//     survivors' states), lowest site ID on ties.
+// Takeover frames (see takeover.go): TAKEOVER (event.TypeTakeover)
+// carries the promoted central's announcement, ELECT (event.TypeElect)
+// an election claim.
 
 const (
-	takeoverWireVersion = 1
+	takeoverWireVersion = 2
 	maxTakeoverAddr     = 255
 )
+
+// appendTakeoverCRC seals a takeover frame with a CRC32 trailer. The
+// frames steer who becomes central and from which cut survivors
+// rejoin, so payload damage the transport does not catch must read as
+// a lost frame (retried) rather than as a different epoch, address,
+// anchor or cut.
+func appendTakeoverCRC(b []byte) []byte {
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// checkTakeoverCRC verifies and strips the CRC32 trailer.
+func checkTakeoverCRC(b []byte) ([]byte, error) {
+	if len(b) < 4 {
+		return nil, fmt.Errorf("truncated (%d bytes)", len(b))
+	}
+	body := b[:len(b)-4]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(b[len(b)-4:]) {
+		return nil, errors.New("checksum mismatch")
+	}
+	return body, nil
+}
 
 // TakeoverAnnouncement is the payload of a TypeTakeover control event.
 type TakeoverAnnouncement struct {
@@ -205,19 +206,23 @@ type TakeoverAnnouncement struct {
 
 // Encode serializes the announcement.
 func (a TakeoverAnnouncement) Encode() []byte {
-	b := make([]byte, 0, 1+8+2+len(a.Addr)+a.Anchor.EncodedSize())
+	b := make([]byte, 0, 1+8+2+len(a.Addr)+a.Anchor.EncodedSize()+4)
 	b = append(b, takeoverWireVersion)
 	b = binary.LittleEndian.AppendUint64(b, a.Epoch)
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(a.Addr)))
 	b = append(b, a.Addr...)
 	b = a.Anchor.AppendBinary(b)
-	return b
+	return appendTakeoverCRC(b)
 }
 
 // DecodeTakeoverAnnouncement parses an announcement payload, rejecting
 // truncated or trailing bytes.
 func DecodeTakeoverAnnouncement(b []byte) (TakeoverAnnouncement, error) {
 	var a TakeoverAnnouncement
+	b, err := checkTakeoverCRC(b)
+	if err != nil {
+		return a, fmt.Errorf("core: takeover announcement: %w", err)
+	}
 	if len(b) < 11 {
 		return a, fmt.Errorf("core: takeover announcement truncated (%d bytes)", len(b))
 	}
@@ -256,18 +261,22 @@ type ElectionClaim struct {
 
 // Encode serializes the claim.
 func (c ElectionClaim) Encode() []byte {
-	b := make([]byte, 0, 1+8+1+c.Cut.EncodedSize())
+	b := make([]byte, 0, 1+8+1+c.Cut.EncodedSize()+4)
 	b = append(b, takeoverWireVersion)
 	b = binary.LittleEndian.AppendUint64(b, c.Epoch)
 	b = append(b, c.Site)
 	b = c.Cut.AppendBinary(b)
-	return b
+	return appendTakeoverCRC(b)
 }
 
 // DecodeElectionClaim parses a claim payload, rejecting truncated or
 // trailing bytes.
 func DecodeElectionClaim(b []byte) (ElectionClaim, error) {
 	var c ElectionClaim
+	b, err := checkTakeoverCRC(b)
+	if err != nil {
+		return c, fmt.Errorf("core: election claim: %w", err)
+	}
 	if len(b) < 10 {
 		return c, fmt.Errorf("core: election claim truncated (%d bytes)", len(b))
 	}

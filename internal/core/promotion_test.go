@@ -8,7 +8,6 @@ import (
 
 	"adaptmirror/internal/checkpoint"
 	"adaptmirror/internal/event"
-	"adaptmirror/internal/vclock"
 )
 
 // promotionRig wires a central with severable links to n mirrors, of
@@ -17,10 +16,11 @@ import (
 // to whoever currently holds the central role, which is exactly the
 // re-pointing a deployment does when the standby takes over.
 type promotionRig struct {
-	central atomic.Pointer[Central]
-	member  atomic.Pointer[Membership]
-	mirrors []*MirrorSite
-	links   []*failableLink // data+ctrl per mirror, interleaved
+	central  atomic.Pointer[Central]
+	member   atomic.Pointer[Membership]
+	promoted atomic.Pointer[PromotedCentral]
+	mirrors  []*MirrorSite
+	links    []*failableLink // data+ctrl per mirror, interleaved
 }
 
 func (r *promotionRig) cen() *Central { return r.central.Load() }
@@ -43,7 +43,14 @@ func newPromotionRig(t *testing.T, nMirrors int, wrapUp func(i int, next senderF
 	c.SetParams(false, 1, 1<<30) // manual checkpoints
 	r.central.Store(c)
 	for i := 0; i < nMirrors; i++ {
-		up := senderFunc(func(e *event.Event) error { r.cen().HandleControl(e); return nil })
+		up := senderFunc(func(e *event.Event) error {
+			if pc := r.promoted.Load(); pc != nil {
+				pc.HandleControl(e)
+			} else {
+				r.cen().HandleControl(e)
+			}
+			return nil
+		})
 		var upLink Sender = up
 		if wrapUp != nil {
 			upLink = wrapUp(i, up)
@@ -102,12 +109,10 @@ func (r *promotionRig) commitThrough(t *testing.T, want uint64, sites ...*Mirror
 	}
 }
 
-// promoteStandby crashes the current central and runs the full
-// handover: the standby's monitor declares the failure, Promote
-// captures its state, a resumed Central adopts it, and every surviving
-// mirror is re-admitted through a fresh membership — from its own
-// committed cut when its arrival watermark is covered by the adopted
-// state, from a snapshot otherwise.
+// promoteStandby crashes the current central and runs the takeover
+// runtime on every mirror: the standby promotes itself and each
+// survivor rejoins on its announcement. It returns once the rejoin
+// requests that got through are served.
 func (r *promotionRig) promoteStandby(t *testing.T) {
 	t.Helper()
 	old := r.cen()
@@ -117,52 +122,61 @@ func (r *promotionRig) promoteStandby(t *testing.T) {
 	}
 	old.Close()
 
-	standby := r.mirrors[0]
-	mon := NewStandbyMonitor(standby.LastRound, 2)
-	for i := 0; i < 4 && !mon.Fired(); i++ {
-		mon.Tick()
+	rts := make([]*Takeover, len(r.mirrors))
+	for i, m := range r.mirrors {
+		rt, err := NewTakeover(TakeoverConfig{
+			Site: m, Self: i, Peers: len(r.mirrors), Standby: i == 0, Budget: 2, Interval: time.Millisecond,
+			Central:    CentralConfig{Streams: 1},
+			Membership: MembershipConfig{MissedRounds: 2},
+			Transport:  rigTransport{r: r, rts: rts},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rts[i] = rt
 	}
-	if !mon.Fired() {
+	now := time.Unix(0, 0)
+	for i := 0; i < 4 && r.promoted.Load() == nil; i++ {
+		now = now.Add(time.Millisecond)
+		rts[0].Tick(now) // survivors never tick: only the standby may fire
+	}
+	if r.promoted.Load() == nil {
 		t.Fatal("standby monitor did not declare the central dead")
 	}
+	rts[0].Settle()
+}
 
-	state := standby.Promote()
-	state.Epoch = old.Epoch() + 1
+// rigTransport is the takeover transport of a promotionRig: the
+// promoted central gets fresh links to each survivor, whose control
+// downlink hands takeover frames to the survivor's runtime.
+type rigTransport struct {
+	r   *promotionRig
+	rts []*Takeover
+}
 
-	// Survivors keep their sites; the standby's slot is not replaced —
-	// the promoted central IS that site now. Slot i of the new central
-	// serves r.mirrors[i+1].
-	var coreLinks []MirrorLink
-	var fresh []*failableLink
-	for i := 1; i < len(r.mirrors); i++ {
-		i := i
-		data := &failableLink{fn: func(e *event.Event) error { r.mirrors[i].HandleData(e); return nil }}
-		ctrl := &failableLink{fn: func(e *event.Event) error { r.mirrors[i].HandleControl(e); return nil }}
-		fresh = append(fresh, data, ctrl)
-		coreLinks = append(coreLinks, MirrorLink{Data: data, Ctrl: ctrl})
-	}
-	nc := NewCentral(CentralConfig{Streams: 1, Mirrors: coreLinks, Resume: &state})
-	nc.SetParams(false, 1, 1<<30)
-	r.central.Store(nc)
-	r.links = fresh
-	standby.Close()
+func (rigTransport) SendPeer(int, *event.Event) {}
+func (rigTransport) Repoint(string)             {} // uplinks follow r.promoted
+func (rigTransport) ProbeCentral() bool         { return false }
 
-	nm := NewMembership(nc, MembershipConfig{MissedRounds: 2})
-	for i := range coreLinks {
-		_ = nm.Exclude(i)
+func (tr rigTransport) Downlink(slot int) MirrorLink {
+	m, rt := tr.r.mirrors[slot], tr.rts[slot]
+	return MirrorLink{
+		Data: senderFunc(func(e *event.Event) error { m.HandleData(e); return nil }),
+		Ctrl: senderFunc(func(e *event.Event) error {
+			if !rt.HandleControl(e) {
+				m.HandleControl(e)
+			}
+			return nil
+		}),
 	}
-	r.member.Store(nm)
-	anchor := nc.Main().LastProcessed()
-	for i := 1; i < len(r.mirrors); i++ {
-		var cut vclock.VC
-		if high := r.mirrors[i].ArrivalHigh(); high.LessEq(anchor) {
-			cut = r.mirrors[i].Backup().Committed()
-		}
-		if _, err := nm.RejoinSince(i-1, cut); err != nil {
-			t.Fatalf("rejoining survivor %d: %v", i, err)
-		}
-	}
-	t.Cleanup(nc.Close)
+}
+
+func (tr rigTransport) ServeCentral(pc *PromotedCentral) string {
+	pc.Central.SetParams(false, 1, 1<<30)
+	tr.r.central.Store(pc.Central)
+	tr.r.member.Store(pc.Member)
+	tr.r.promoted.Store(pc)
+	return "mirror0"
 }
 
 // TestPromotionMidRejoin promotes the standby while a survivor is

@@ -89,13 +89,6 @@ func (s *RecoverySnapshot) WireBytes() int {
 	return n
 }
 
-// BuildRecovery assembles a full-snapshot recovery transfer (the
-// no-negotiation entry point: external links, tooling, rejoiners with
-// no usable cut).
-func (c *Central) BuildRecovery() RecoverySnapshot {
-	return c.BuildRecoverySince(nil)
-}
-
 // BuildRecoverySince assembles a recovery transfer for a rejoiner
 // whose last committed cut is `cut` (nil when unknown). The state
 // body — full snapshot, or journal delta when the cut is within
@@ -171,23 +164,14 @@ func recoveryEvents(snap RecoverySnapshot) []*event.Event {
 	return append(events, snap.Events...)
 }
 
-// RecoverMirror pushes a full-snapshot recovery transfer to a mirror
-// site's data link. It returns the number of events replayed.
-//
-// This entry point serves external links (a site outside the
-// configured mirror set, tests, tooling); re-admitting a configured
-// mirror goes through Membership.Rejoin / Membership.RejoinSince,
-// which additionally serializes the transfer against the live
-// fan-out.
-func (c *Central) RecoverMirror(link Sender) (int, error) {
-	return c.RecoverMirrorSince(link, nil)
-}
-
-// RecoverMirrorSince is RecoverMirror with cut negotiation: the
-// rejoiner's last committed cut selects delta or snapshot mode. The
-// state transfer travels as a single head event whose payload is the
-// state body and whose VT is the consistency cut, followed by the
-// backup suffix.
+// RecoverMirrorSince pushes a recovery transfer to a site's data link
+// and returns the number of backup events replayed. The rejoiner's
+// last committed cut (nil when it has none) selects delta or snapshot
+// mode. The state transfer travels as a single head event whose
+// payload is the state body and whose VT is the consistency cut,
+// followed by the backup suffix. It serves links outside the configured
+// mirror set; re-admitting a configured mirror goes through
+// Membership.RejoinSince, which also serializes against the fan-out.
 func (c *Central) RecoverMirrorSince(link Sender, cut vclock.VC) (int, error) {
 	snap := c.BuildRecoverySince(cut)
 	events := recoveryEvents(snap)
@@ -257,20 +241,4 @@ func (c *Central) RejoinStats() RejoinStats {
 		SnapshotBytes: c.rejoinSnapshotBytes.Load(),
 		DeltaBytes:    c.rejoinDeltaBytes.Load(),
 	}
-}
-
-// HandleRecoveryRequest serves a TypeRecoveryRequest control event by
-// replaying to the identified mirror link. The requesting site's index
-// travels in the event's Seq field; its last committed cut (nil when
-// it has none) travels in the event's VT, so the reply is incremental
-// whenever the journal can serve it.
-func (c *Central) HandleRecoveryRequest(e *event.Event) (int, error) {
-	if e.Type != event.TypeRecoveryRequest {
-		return 0, fmt.Errorf("core: not a recovery request: %s", e.Type)
-	}
-	idx := int(e.Seq)
-	if idx < 0 || idx >= len(c.cfg.Mirrors) {
-		return 0, fmt.Errorf("core: recovery request for unknown mirror %d", idx)
-	}
-	return c.RecoverMirrorSince(c.cfg.Mirrors[idx].Data, e.VT)
 }

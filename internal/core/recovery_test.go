@@ -242,7 +242,7 @@ func TestDoubleRecoveryIdempotent(t *testing.T) {
 	defer ext.Close()
 	link := senderFunc(func(e *event.Event) error { ext.HandleData(e); return nil })
 
-	if _, err := r.central.RecoverMirror(link); err != nil {
+	if _, err := r.central.RecoverMirrorSince(link, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := r.central.Main().LastProcessed()
@@ -250,7 +250,7 @@ func TestDoubleRecoveryIdempotent(t *testing.T) {
 	first := ext.Main().Engine().State().Snapshot()
 	processedOnce := ext.Processed()
 
-	if _, err := r.central.RecoverMirror(link); err != nil {
+	if _, err := r.central.RecoverMirrorSince(link, nil); err != nil {
 		t.Fatal(err)
 	}
 	waitProgress(t, ext, want)

@@ -53,9 +53,7 @@ type Model struct {
 	// FrameBase/FramePerEvent price the columnar batch framing of the
 	// zero-copy wire path: one fixed charge per frame (header build,
 	// offset table, single buffered write) plus a small per-event
-	// column-append charge. When both are zero the model predates the
-	// columnar codec and FrameBatchCost falls back to
-	// SerializeBatchCost, keeping older calibrations unchanged.
+	// column-append charge.
 	FrameBase     time.Duration
 	FramePerEvent time.Duration
 }
@@ -114,16 +112,12 @@ func (m Model) SerializeBatchCost(n, bytes int) time.Duration {
 // of n events totalling bytes payload bytes as one columnar frame.
 // The columnar layout replaces the per-event header re-encode with
 // cheap column appends, so the per-event term is far below the legacy
-// SerializeBase while the byte-proportional term is unchanged. Models
-// with no framing calibration (both frame fields zero) fall back to
-// SerializeBatchCost so existing test and chaos calibrations keep
-// their historical charges.
+// SerializeBase while the byte-proportional term is unchanged. A model
+// with FrameBase 0 and FramePerEvent = SerializeBase charges exactly
+// SerializeBatchCost.
 func (m Model) FrameBatchCost(n, bytes int) time.Duration {
 	if n <= 0 {
 		return 0
-	}
-	if m.FrameBase == 0 && m.FramePerEvent == 0 {
-		return m.SerializeBatchCost(n, bytes)
 	}
 	return m.FrameBase + time.Duration(n)*m.FramePerEvent + scale(m.SerializePerKB, bytes)
 }

@@ -84,17 +84,6 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// ListenAndServe listens on addr and serves; it returns the bound
-// address on a channel-free API by returning after listen fails, so
-// most callers use Listen + Serve directly. Provided for cmd tools.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
-
 func (s *Server) dropConn(conn net.Conn) {
 	conn.Close()
 	s.mu.Lock()
@@ -237,23 +226,8 @@ type SendLink struct {
 	// other write error; the owner redials.
 	writeTimeout time.Duration
 
-	// legacy forces per-event framing for batches, for peers that
-	// predate the columnar batch frame. Single-event Submit always
-	// uses the legacy frame (control links stay byte-compatible).
-	legacy bool
-
 	submitted atomic.Uint64
 	bytes     atomic.Uint64
-}
-
-// SetLegacyFraming switches batch submissions to the per-event legacy
-// codec (true) or the columnar batch frame (false, the default). The
-// receive side auto-detects per frame, so this only needs to change
-// for peers too old to read batch frames.
-func (l *SendLink) SetLegacyFraming(legacy bool) {
-	l.mu.Lock()
-	l.legacy = legacy
-	l.mu.Unlock()
 }
 
 // DialSend connects a send link for the named channel at addr.
@@ -338,9 +312,9 @@ func (l *SendLink) Submit(e *event.Event) error {
 
 // SubmitBatch frames a whole batch into one buffered write and a
 // single flush, amortizing the per-submission syscall and lock costs
-// across the batch. Unless legacy framing is forced, the batch rides
-// one columnar frame: headers packed per column, payloads
-// concatenated into a single blob, nothing allocated per event.
+// across the batch. The batch rides one columnar frame: headers packed
+// per column, payloads concatenated into a single blob, nothing
+// allocated per event.
 func (l *SendLink) SubmitBatch(events []*event.Event) error {
 	if len(events) == 0 {
 		return nil
@@ -351,11 +325,7 @@ func (l *SendLink) SubmitBatch(events []*event.Event) error {
 		return l.err
 	}
 	l.armDeadlineLocked()
-	write := l.w.WriteBatchFrame
-	if l.legacy {
-		write = l.w.WriteBatch
-	}
-	if err := write(events); err != nil {
+	if err := l.w.WriteBatchFrame(events); err != nil {
 		l.err = err
 		return err
 	}

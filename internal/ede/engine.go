@@ -88,7 +88,16 @@ func (en *Engine) State() *State { return en.state }
 // for update-delay measurement). Coalesced events are charged once but
 // counted by weight.
 func (en *Engine) Process(e *event.Event) ([]*event.Event, time.Time) {
-	done := en.cpu.Charge(en.model.EventCost(len(e.Payload)))
+	cost := en.model.EventCost(len(e.Payload))
+	done := en.cpu.Charge(cost)
+	// The ledger's catch-up window can place the completion instant
+	// before the event even arrived; an event cannot finish sooner
+	// than its ingress plus its own charge. Pacing is unaffected.
+	if e.Ingress != 0 {
+		if floor := time.Unix(0, e.Ingress).Add(cost); done.Before(floor) {
+			done = floor
+		}
+	}
 
 	// Recovery snapshots replace the whole state rather than passing
 	// through the rules: the payload is a serialized snapshot and the

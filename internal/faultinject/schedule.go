@@ -40,10 +40,14 @@ type Schedule struct {
 	CtrlFaults Faults
 
 	// CrashCentral selects the central-crash schedule class: the
-	// central site (not a mirror) dies at CrashAfterFrac and the
-	// standby mirror is promoted in its place. CrashMirror is -1 and
+	// central site (not a mirror) dies at CrashAfterFrac and a mirror
+	// takes its place (see Election). CrashMirror is -1 and
 	// DownFrac is 0 in this class — the old central never returns.
 	CrashCentral bool
+	// Election selects how the central-crash class replaces the
+	// central: false promotes the designated standby mirror directly,
+	// true has the mirrors elect the new central among themselves.
+	Election bool
 }
 
 // NewSchedule derives the fault plan for a cluster of the given mirror
@@ -75,7 +79,7 @@ func NewSchedule(seed int64, mirrors int) Schedule {
 }
 
 // NewCentralCrashSchedule derives a fault plan in which the central
-// site itself dies and the standby mirror takes over. It draws from
+// site itself dies and a mirror takes over. It draws from
 // its own rng stream (independent of NewSchedule, whose seeded draws
 // are pinned by the deterministic-replay tests): the crash lands past
 // the first quarter of the stream so at least one checkpoint round
@@ -103,6 +107,8 @@ func NewCentralCrashSchedule(seed int64, mirrors int) Schedule {
 		s.SlowMirror = 1 + rng.Intn(mirrors-1)
 		s.SlowFactor = 2 + rng.Intn(7)
 	}
+	// Drawn last so every earlier field keeps its seeded value.
+	s.Election = rng.Float64() < 0.5
 	return s
 }
 
@@ -114,9 +120,13 @@ func (s Schedule) String() string {
 		slow = fmt.Sprintf("mirror%d x%d", s.SlowMirror, s.SlowFactor)
 	}
 	if s.CrashCentral {
+		mode := "standby"
+		if s.Election {
+			mode = "election"
+		}
 		return fmt.Sprintf(
-			"seed=%d crash=central@%.0f%% slow=%s ctrl{drop=%.3f dup=%.3f reorder=%.3f corrupt=%.3f}",
-			s.Seed, 100*s.CrashAfterFrac, slow,
+			"seed=%d crash=central@%.0f%% promote=%s slow=%s ctrl{drop=%.3f dup=%.3f reorder=%.3f corrupt=%.3f}",
+			s.Seed, 100*s.CrashAfterFrac, mode, slow,
 			s.CtrlFaults.Drop, s.CtrlFaults.Duplicate, s.CtrlFaults.Reorder, s.CtrlFaults.Corrupt)
 	}
 	return fmt.Sprintf(

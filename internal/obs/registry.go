@@ -104,12 +104,13 @@ func canonLabels(ls []Label) ([]Label, string) {
 	return out, b.String()
 }
 
-// get returns (creating if needed) the series for (name, ls) in a
-// family of kind k. It returns nil when the registry is nil or the
-// name is already registered with a different kind.
-func (r *Registry) get(name string, k kind, ls []Label) *series {
+// with runs set, under the registry lock, on the series for (name, ls)
+// in a family of kind k, creating it if needed. set is not called when
+// the registry is nil or the name is already registered with a
+// different kind.
+func (r *Registry) with(name string, k kind, ls []Label, set func(*series)) {
 	if r == nil {
-		return nil
+		return
 	}
 	labels, key := canonLabels(ls)
 	r.mu.Lock()
@@ -122,7 +123,7 @@ func (r *Registry) get(name string, k kind, ls []Label) *series {
 	if !f.typed {
 		f.kind, f.typed = k, true
 	} else if f.kind != k {
-		return nil
+		return
 	}
 	s := f.byKey[key]
 	if s == nil {
@@ -130,51 +131,42 @@ func (r *Registry) get(name string, k kind, ls []Label) *series {
 		f.byKey[key] = s
 		f.series = append(f.series, s)
 	}
-	return s
+	set(s)
 }
 
 // Counter returns (creating if needed) the counter named name with the
 // given labels. On a nil registry it returns a fresh unregistered
 // counter.
 func (r *Registry) Counter(name string, ls ...Label) *metrics.Counter {
-	s := r.get(name, kindCounter, ls)
-	if s == nil {
-		return &metrics.Counter{}
-	}
-	if s.counter == nil {
-		s.counter = &metrics.Counter{}
-		s.fn = nil
-	}
-	return s.counter
+	c := &metrics.Counter{}
+	r.with(name, kindCounter, ls, func(s *series) {
+		if s.counter == nil {
+			s.counter, s.fn = c, nil
+		}
+		c = s.counter
+	})
+	return c
 }
 
 // Gauge returns (creating if needed) the gauge named name with the
 // given labels. On a nil registry it returns a fresh unregistered
 // gauge.
 func (r *Registry) Gauge(name string, ls ...Label) *metrics.Gauge {
-	s := r.get(name, kindGauge, ls)
-	if s == nil {
-		return &metrics.Gauge{}
-	}
-	if s.gauge == nil {
-		s.gauge = &metrics.Gauge{}
-		s.fn = nil
-	}
-	return s.gauge
+	g := &metrics.Gauge{}
+	r.with(name, kindGauge, ls, func(s *series) {
+		if s.gauge == nil {
+			s.gauge, s.fn = g, nil
+		}
+		g = s.gauge
+	})
+	return g
 }
 
 // Histogram returns (creating if needed) the histogram named name with
 // the given labels, exported as a Prometheus summary. On a nil
 // registry it returns a fresh unregistered histogram.
 func (r *Registry) Histogram(name string, ls ...Label) *metrics.Histogram {
-	s := r.get(name, kindSummary, ls)
-	if s == nil {
-		return metrics.NewHistogram(0)
-	}
-	if s.hist == nil {
-		s.hist = metrics.NewHistogram(0)
-	}
-	return s.hist
+	return r.histogram(name, ls, false)
 }
 
 // ValueHistogram returns (creating if needed) a histogram whose
@@ -184,58 +176,51 @@ func (r *Registry) Histogram(name string, ls ...Label) *metrics.Histogram {
 // frame, events per batch) use it. On a nil registry it returns a
 // fresh unregistered histogram.
 func (r *Registry) ValueHistogram(name string, ls ...Label) *metrics.Histogram {
-	s := r.get(name, kindSummary, ls)
-	if s == nil {
-		return metrics.NewHistogram(0)
+	return r.histogram(name, ls, true)
+}
+
+func (r *Registry) histogram(name string, ls []Label, raw bool) *metrics.Histogram {
+	var h *metrics.Histogram
+	r.with(name, kindSummary, ls, func(s *series) {
+		if s.hist == nil {
+			s.hist = metrics.NewHistogram(0)
+		}
+		s.rawHist = s.rawHist || raw
+		h = s.hist
+	})
+	if h == nil {
+		h = metrics.NewHistogram(0)
 	}
-	if s.hist == nil {
-		s.hist = metrics.NewHistogram(0)
-	}
-	s.rawHist = true
-	return s.hist
+	return h
 }
 
 // RegisterCounter exposes an existing counter under (name, labels).
 func (r *Registry) RegisterCounter(name string, c *metrics.Counter, ls ...Label) {
-	if s := r.get(name, kindCounter, ls); s != nil {
-		s.counter = c
-		s.fn = nil
-	}
+	r.with(name, kindCounter, ls, func(s *series) { s.counter, s.fn = c, nil })
 }
 
 // RegisterGauge exposes an existing gauge under (name, labels).
 func (r *Registry) RegisterGauge(name string, g *metrics.Gauge, ls ...Label) {
-	if s := r.get(name, kindGauge, ls); s != nil {
-		s.gauge = g
-		s.fn = nil
-	}
+	r.with(name, kindGauge, ls, func(s *series) { s.gauge, s.fn = g, nil })
 }
 
 // RegisterHistogram exposes an existing histogram under (name,
 // labels), exported as a Prometheus summary.
 func (r *Registry) RegisterHistogram(name string, h *metrics.Histogram, ls ...Label) {
-	if s := r.get(name, kindSummary, ls); s != nil {
-		s.hist = h
-	}
+	r.with(name, kindSummary, ls, func(s *series) { s.hist = h })
 }
 
 // CounterFunc registers a counter whose value is read from fn at
 // scrape time (for instruments that already live elsewhere as atomics).
 // fn must be monotonically non-decreasing.
 func (r *Registry) CounterFunc(name string, fn func() float64, ls ...Label) {
-	if s := r.get(name, kindCounter, ls); s != nil {
-		s.fn = fn
-		s.counter = nil
-	}
+	r.with(name, kindCounter, ls, func(s *series) { s.fn, s.counter = fn, nil })
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at scrape
 // time.
 func (r *Registry) GaugeFunc(name string, fn func() float64, ls ...Label) {
-	if s := r.get(name, kindGauge, ls); s != nil {
-		s.fn = fn
-		s.gauge = nil
-	}
+	r.with(name, kindGauge, ls, func(s *series) { s.fn, s.gauge = fn, nil })
 }
 
 // Describe attaches HELP text to a family. The family's kind stays
@@ -336,11 +321,14 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 
 	for _, f := range fams {
-		// Snapshot the series list under the lock; instrument reads are
-		// individually synchronized by the instruments themselves.
+		// Snapshot the series under the lock (registration may swap
+		// their instruments); instrument reads are individually
+		// synchronized by the instruments themselves.
 		r.mu.Lock()
-		srs := make([]*series, len(f.series))
-		copy(srs, f.series)
+		srs := make([]series, len(f.series))
+		for i, s := range f.series {
+			srs[i] = *s
+		}
 		help := f.help
 		k := f.kind
 		r.mu.Unlock()
@@ -357,7 +345,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, k); err != nil {
 			return err
 		}
-		for _, s := range srs {
+		for i := range srs {
+			s := &srs[i]
 			var err error
 			switch {
 			case s.fn != nil:

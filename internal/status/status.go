@@ -100,35 +100,9 @@ type Rejoin struct {
 	DeltaBytes    uint64 `json:"delta_bytes"`
 }
 
-// Takeover is the wire-takeover runtime's view on a deployed mirrord
-// site: armed detection, the current role in the takeover protocol,
-// and the election/redial counters. Absent when the runtime is not
-// armed (in-process clusters, plain mirrors without a peer manifest).
-type Takeover struct {
-	// Armed reports a live missed-round detector.
-	Armed bool `json:"armed"`
-	// Role is this site's current takeover role: "standby" or
-	// "follower" while the central is presumed alive, "candidate"
-	// during an election, "promoted" after adopting the central role.
-	Role string `json:"role"`
-	// Budget is the missed detection intervals tolerated before the
-	// site declares the central dead.
-	Budget int `json:"budget"`
-	// Missed is the current consecutive-miss streak.
-	Missed int `json:"missed"`
-	// Fired reports whether this site has declared the central dead.
-	Fired bool `json:"fired"`
-	// Epoch is the highest takeover epoch this site accepted or
-	// claimed (0 before any takeover).
-	Epoch uint64 `json:"epoch"`
-	// CentralAddr is the ctrl.up address this site currently targets
-	// (the promoted address after a repoint).
-	CentralAddr string `json:"central_addr,omitempty"`
-	// Claims and Repoints mirror the election_claims_total and
-	// uplink_repoint_total counters.
-	Claims   uint64 `json:"claims"`
-	Repoints uint64 `json:"repoints"`
-}
+// Takeover is the takeover runtime's view on a deployed mirrord site;
+// absent when the runtime is not armed.
+type Takeover = core.TakeoverInfo
 
 // Document is the /cluster/status payload. Mirror sites fill the
 // site-local fields only; the central site additionally aggregates
