@@ -1,8 +1,14 @@
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: all build vet test race ci metrics-lint status-smoke takeover-smoke stress chaos fuzz bench bench-compare bench-gate bench-rejoin bench-serve figures clean
+.PHONY: all fmt build vet test race ci metrics-lint status-smoke takeover-smoke stress chaos fuzz bench bench-compare bench-gate bench-rejoin bench-serve figures clean
 
 all: ci
+
+# Fails, listing the files, when any tracked Go file is not gofmt-clean.
+fmt:
+	@out=$$($(GOFMT) -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -42,7 +48,7 @@ stress:
 	for i in 1 2 3; do $(MAKE) takeover-smoke || exit 1; done
 
 # Full gate: what CI runs and what every change must keep green.
-ci: build vet race metrics-lint status-smoke takeover-smoke stress
+ci: fmt build vet race metrics-lint status-smoke takeover-smoke stress
 
 # Deterministic fault-injection sweep under the race detector: 32
 # seeded runs of each schedule class — "mirror" crash-restarts a

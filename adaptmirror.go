@@ -36,14 +36,11 @@
 package adaptmirror
 
 import (
-	"time"
-
 	"adaptmirror/internal/adapt"
 	"adaptmirror/internal/cluster"
 	"adaptmirror/internal/core"
 	"adaptmirror/internal/costmodel"
 	"adaptmirror/internal/event"
-	"adaptmirror/internal/simnet"
 )
 
 // Re-exported core types. See the internal packages for full APIs.
@@ -107,10 +104,8 @@ const (
 	// TransportDirect wires sites with synchronous calls (fastest;
 	// network cost comes from the cost model).
 	TransportDirect = cluster.TransportDirect
-	// TransportChannels wires sites with in-process event channels.
-	TransportChannels = cluster.TransportChannels
-	// TransportTCP wires sites over loopback TCP with optional
-	// bandwidth/latency shaping.
+	// TransportTCP wires sites over loopback TCP, exactly as the
+	// mirrord daemon deploys them.
 	TransportTCP = cluster.TransportTCP
 )
 
@@ -120,10 +115,6 @@ type ClusterConfig struct {
 	Mirrors int
 	// Transport wires the sites (default TransportDirect).
 	Transport Transport
-	// Bandwidth (bytes/s) and Latency shape TCP links; zero values
-	// leave links unshaped.
-	Bandwidth float64
-	Latency   time.Duration
 	// Model is the virtual-CPU cost model (zero value installs the
 	// calibrated default).
 	Model CostModel
@@ -165,7 +156,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	inner, err := cluster.New(cluster.Config{
 		Mirrors:      cfg.Mirrors,
 		Transport:    cfg.Transport,
-		Shaping:      simnet.Profile{Bandwidth: cfg.Bandwidth, Latency: cfg.Latency},
 		Params:       cfg.Params,
 		Model:        model,
 		StatePadding: cfg.StatePadding,
@@ -208,12 +198,8 @@ func (c *Cluster) Close() { c.inner.Close() }
 // primary, the degraded regime is installed; it reverts below
 // primary−secondary. Directives piggyback on checkpoint traffic.
 func (c *Cluster) NewAdaptation(baseline, degraded Regime, primary, secondary int) *Controller {
-	ctl := adapt.NewController(baseline, degraded, adapt.InstallRegime(c.inner.Central))
+	ctl := adapt.NewController(baseline, degraded, nil)
 	ctl.SetMonitorValues(adapt.VarPending, primary, secondary)
-	c.inner.SetOnMirrorSample(func(site int, s core.Sample) { ctl.ObserveSite(site, s) })
-	c.inner.Central.SetPiggyback(func() []byte {
-		ctl.Observe(c.inner.Central.Sample())
-		return adapt.EncodeRegime(ctl.Current())
-	})
+	c.inner.Adapt(ctl)
 	return ctl
 }

@@ -124,8 +124,6 @@ func TestTCPTransportViaFacade(t *testing.T) {
 	cl, err := NewCluster(ClusterConfig{
 		Mirrors:   1,
 		Transport: TransportTCP,
-		Bandwidth: 100e6,
-		Latency:   20 * time.Microsecond,
 		Model:     testModel,
 	})
 	if err != nil {

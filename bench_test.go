@@ -173,11 +173,9 @@ func BenchmarkAblationCoalesceVsOverwrite(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationTransport compares the three site interconnects.
+// BenchmarkAblationTransport compares the two site interconnects.
 func BenchmarkAblationTransport(b *testing.B) {
-	for _, tr := range []cluster.Transport{
-		cluster.TransportDirect, cluster.TransportChannels, cluster.TransportTCP,
-	} {
+	for _, tr := range []cluster.Transport{cluster.TransportDirect, cluster.TransportTCP} {
 		b.Run(tr.String(), func(b *testing.B) {
 			opts := ablationOpts()
 			opts.Selective = 10

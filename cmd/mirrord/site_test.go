@@ -12,6 +12,7 @@ import (
 	"adaptmirror/internal/core"
 	"adaptmirror/internal/echo"
 	"adaptmirror/internal/event"
+	"adaptmirror/internal/node"
 	"adaptmirror/internal/obs"
 	"adaptmirror/internal/oislog"
 	"adaptmirror/internal/thinclient"
@@ -51,11 +52,11 @@ func TestFullDeployment(t *testing.T) {
 	defer central.Close()
 
 	// Point the mirrors' lazy uplinks at the now-known central address.
-	m1.uplink.addr = central.Addr
-	m2.uplink.addr = central.Addr
+	m1.Repoint(central.Addr)
+	m2.Repoint(central.Addr)
 
 	// Stream events like oisgen.
-	src, err := echo.DialSend(central.Addr, chanIngress)
+	src, err := echo.DialSend(central.Addr, node.ChanIngress)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestFullDeployment(t *testing.T) {
 	t.Fatal("no checkpoint commits over the deployed control channels")
 }
 
-func centralCommits(c *centralSite) (rounds, commits uint64) {
+func centralCommits(c *node.CentralServer) (rounds, commits uint64) {
 	st := c.Central.Stats()
 	return st.ChkptRounds, st.ChkptCommits
 }
@@ -136,24 +137,6 @@ func TestStartCentralBadMirror(t *testing.T) {
 	}
 }
 
-func TestLazyUplinkRedials(t *testing.T) {
-	up := &lazyUplink{addr: "127.0.0.1:1", name: chanCtrlUp}
-	if err := up.Submit(event.NewControl(event.TypeChkptReply, nil)); err == nil {
-		t.Fatal("submit to unreachable central must fail")
-	}
-	// Bring a central up and retry.
-	central, err := startCentral(centralOptions{Listen: "127.0.0.1:0", HTTP: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer central.Close()
-	up.addr = central.Addr
-	if err := up.Submit(event.NewControl(event.TypeChkptReply, nil)); err != nil {
-		t.Fatalf("redial failed: %v", err)
-	}
-	up.Close()
-}
-
 func TestCentralWithAdaptation(t *testing.T) {
 	m, err := startMirror(mirrorOptions{Listen: "127.0.0.1:0", HTTP: "127.0.0.1:0", Central: "pending"})
 	if err != nil {
@@ -170,9 +153,9 @@ func TestCentralWithAdaptation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer central.Close()
-	m.uplink.addr = central.Addr
+	m.Repoint(central.Addr)
 
-	if central.Controller == nil {
+	if central.Controller() == nil {
 		t.Fatal("adaptation controller not installed")
 	}
 	if got := central.Central.GetParams().CheckpointFreq; got != 50 {
@@ -186,7 +169,7 @@ func TestCentralWithAdaptation(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		m.Mirror.Main().Request(&core.InitRequest{})
 	}
-	src, err := echo.DialSend(central.Addr, chanIngress)
+	src, err := echo.DialSend(central.Addr, node.ChanIngress)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +179,7 @@ func TestCentralWithAdaptation(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if e, _ := central.Controller.Transitions(); e > 0 {
+		if e, _ := central.Controller().Transitions(); e > 0 {
 			return
 		}
 		time.Sleep(time.Millisecond)
@@ -212,7 +195,7 @@ func TestCentralWithOperationsLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := echo.DialSend(central.Addr, chanIngress)
+	src, err := echo.DialSend(central.Addr, node.ChanIngress)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,47 +236,48 @@ func TestRemoteThinClientFollowsUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer central.Close()
-	m.uplink.addr = central.Addr
+	m.Repoint(central.Addr)
 
 	view := thinclient.New(64)
-	updatesLink, err := echo.DialRecv(central.Addr, chanUpdates)
+	updatesLink, err := echo.DialRecv(central.Addr, node.ChanUpdates)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer updatesLink.Close()
 	updatesLink.Subscribe(func(e *event.Event) { view.Apply(e) })
-	// Wait for the server-side subscription to attach before feeding
-	// (a real client instead fetches /init after subscribing and
-	// relies on stale-update filtering for the overlap). The updates
-	// channel already has one subscriber when -log is configured;
-	// here it starts with none, so wait for ours.
-	updatesCh, err := central.bus.Lookup(chanUpdates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	attachDeadline := time.Now().Add(5 * time.Second)
-	for updatesCh.Subscribers() < 1 && time.Now().Before(attachDeadline) {
-		time.Sleep(time.Millisecond)
-	}
-
-	src, err := echo.DialSend(central.Addr, chanIngress)
+	// Wait for the server-side subscription to attach before counting:
+	// probe until one update arrives (a real client instead fetches
+	// /init after subscribing and relies on stale-update filtering for
+	// the overlap).
+	src, err := echo.DialSend(central.Addr, node.ChanIngress)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	for i := uint64(1); i <= 60; i++ {
-		src.Submit(event.NewPosition(event.FlightID(1+i%3), i, float64(i), 0, 9000, 128))
+	seq := uint64(0)
+	submit := func() {
+		seq++
+		src.Submit(event.NewPosition(event.FlightID(1+seq%3), seq, float64(seq), 0, 9000, 128))
+	}
+	attachDeadline := time.Now().Add(5 * time.Second)
+	for applied, _ := view.Stats(); applied == 0 && time.Now().Before(attachDeadline); applied, _ = view.Stats() {
+		submit()
+		time.Sleep(5 * time.Millisecond)
+	}
+	base, _ := view.Stats()
+	for i := 0; i < 60; i++ {
+		submit()
 	}
 
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if applied, _ := view.Stats(); applied >= 60 {
+		if applied, _ := view.Stats(); applied >= base+60 {
 			break
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if applied, _ := view.Stats(); applied < 60 {
-		t.Fatalf("client applied %d updates, want 60", applied)
+	if applied, _ := view.Stats(); applied < base+60 {
+		t.Fatalf("client applied %d updates after attaching, want 60", applied-base)
 	}
 	if view.Flights() != 3 {
 		t.Fatalf("client tracks %d flights, want 3", view.Flights())
@@ -356,7 +340,7 @@ func TestDeployedMetricsEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer central.Close()
-	m.uplink.addr = central.Addr
+	m.Repoint(central.Addr)
 
 	// Pending requests above the primary threshold while events flow,
 	// so a checkpoint round engages adaptation (as in
@@ -364,7 +348,7 @@ func TestDeployedMetricsEndpoints(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		m.Mirror.Main().Request(&core.InitRequest{})
 	}
-	src, err := echo.DialSend(central.Addr, chanIngress)
+	src, err := echo.DialSend(central.Addr, node.ChanIngress)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +359,7 @@ func TestDeployedMetricsEndpoints(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		e, _ := central.Controller.Transitions()
+		e, _ := central.Controller().Transitions()
 		if central.Central.Main().Processed() >= total && e > 0 {
 			break
 		}
@@ -408,6 +392,10 @@ func TestDeployedMetricsEndpoints(t *testing.T) {
 		`snapshot_cache_hits_total{site="mirror0"}`,
 		`pipeline_stage_seconds_count{stage="mirror_apply"}`,
 		`http_requests_total 1`,
+		// Every mirror exports the takeover counters, armed or not.
+		`takeover_fired_total{site="mirror0"} 0`,
+		`uplink_repoint_total{site="mirror0"} 0`,
+		`election_claims_total{site="mirror0"} 0`,
 	} {
 		if !strings.Contains(mirrorText, want) {
 			t.Errorf("mirror /metrics missing %q", want)
@@ -454,17 +442,17 @@ func TestMirrorRestartConvergesRegime(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer central.Close()
-	m.uplink.addr = central.Addr
+	m.Repoint(central.Addr)
 	// Pin the degraded regime once engaged so the crash/restart below
 	// races against a stable target, not a reverting controller.
-	central.Controller.SetRevertAfter(1 << 30)
+	central.Controller().SetRevertAfter(1 << 30)
 
 	// Engage exactly as TestCentralWithAdaptation does: deep pending
 	// buffer on the mirror while events drive checkpoint rounds.
 	for i := 0; i < 3000; i++ {
 		m.Mirror.Main().Request(&core.InitRequest{})
 	}
-	src, err := echo.DialSend(central.Addr, chanIngress)
+	src, err := echo.DialSend(central.Addr, node.ChanIngress)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,20 +467,20 @@ func TestMirrorRestartConvergesRegime(t *testing.T) {
 	feed(200)
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if e, _ := central.Controller.Transitions(); e > 0 {
+		if e, _ := central.Controller().Transitions(); e > 0 {
 			break
 		}
 		time.Sleep(time.Millisecond)
 	}
-	want := central.Controller.Current()
-	if e, _ := central.Controller.Transitions(); e == 0 {
+	want := central.Controller().Current()
+	if e, _ := central.Controller().Transitions(); e == 0 {
 		t.Fatal("adaptation never engaged; cannot exercise regime convergence")
 	}
 
 	// Crash the mirror and let the failure detector exclude it: keep the
 	// backup queue non-empty and initiate rounds the dead site cannot
 	// answer.
-	member := core.NewMembership(central.Central, core.MembershipConfig{MissedRounds: 2})
+	member := core.NewMembership(central.Central.Central, core.MembershipConfig{MissedRounds: 2})
 	addr := m.Addr
 	m.Close()
 	feed(100)

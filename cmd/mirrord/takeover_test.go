@@ -10,23 +10,39 @@ import (
 	"time"
 
 	"adaptmirror/internal/checkpoint"
+	"adaptmirror/internal/core"
 	"adaptmirror/internal/echo"
 	"adaptmirror/internal/event"
+	"adaptmirror/internal/node"
 	"adaptmirror/internal/status"
 	"adaptmirror/internal/vclock"
 )
 
-// takeoverMirror starts one wire-takeover-armed mirror. The peers
-// manifest is patched in later (patchManifest) once every site's bound
-// address is known — a deployment writes real addresses into -peers up
-// front, a test binds :0.
-func takeoverMirror(t *testing.T, siteID int, standby bool, budget int) *mirrorSite {
+// freeAddrs reserves n loopback addresses for the peers manifest: a
+// deployment writes real addresses into -peers up front.
+func freeAddrs(t *testing.T, n int) []string {
+	t.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = ln.Addr().String()
+		ln.Close()
+	}
+	return addrs
+}
+
+// takeoverMirror starts one wire-takeover-armed mirror listening on
+// its own manifest entry.
+func takeoverMirror(t *testing.T, peers []string, siteID int, standby bool, budget int) *mirrorSite {
 	t.Helper()
 	m, err := startMirror(mirrorOptions{
-		Listen: "127.0.0.1:0", HTTP: "127.0.0.1:0", Central: "pending",
+		Listen: peers[siteID], HTTP: "127.0.0.1:0",
 		SiteID:           siteID,
 		Standby:          standby,
-		Peers:            []string{"pending", "pending"},
+		Peers:            peers,
 		TakeoverBudget:   budget,
 		TakeoverInterval: 50 * time.Millisecond,
 	})
@@ -36,19 +52,11 @@ func takeoverMirror(t *testing.T, siteID int, standby bool, budget int) *mirrorS
 	return m
 }
 
-func patchManifest(m *mirrorSite, peers []string) {
-	tr := m.takeover
-	tr.mu.Lock()
-	copy(tr.peers, peers)
-	tr.advertise = peers[tr.self]
-	tr.mu.Unlock()
-}
-
 // feed streams count position events into addr's ingress channel,
 // starting at seq.
 func feed(t *testing.T, addr string, seq, count uint64) {
 	t.Helper()
-	src, err := echo.DialSend(addr, chanIngress)
+	src, err := echo.DialSend(addr, node.ChanIngress)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +109,8 @@ func runWireTakeover(t *testing.T, m0, m1 *mirrorSite) {
 		t.Fatal(err)
 	}
 	defer central.Close()
-	patchManifest(m0, []string{m0.Addr, m1.Addr})
-	patchManifest(m1, []string{m0.Addr, m1.Addr})
-	m0.uplink.Repoint(central.Addr)
-	m1.uplink.Repoint(central.Addr)
+	m0.Repoint(central.Addr)
+	m1.Repoint(central.Addr)
 
 	// Normal operation: events replicate, checkpoint rounds commit a
 	// non-zero cut (the very first round can still commit <0>).
@@ -128,17 +134,17 @@ func runWireTakeover(t *testing.T, m0, m1 *mirrorSite) {
 	// Detection, promotion (direct or by election), and survivor
 	// rejoin all happen over the wire.
 	waitUntil(t, 10*time.Second, "takeover promotion", func() bool {
-		return m0.promoted.Load() != nil
+		return m0.Promoted() != nil
 	})
-	pc := m0.promoted.Load()
+	pc := m0.Promoted()
 	if got := pc.Central.Epoch(); got != 1 {
 		t.Fatalf("promoted epoch = %d, want 1", got)
 	}
 	waitUntil(t, 10*time.Second, "survivor rejoin", func() bool {
-		return !pc.excluded(1)
+		return !pc.Member.Excluded(1)
 	})
-	if m1.uplink.Addr() != m0.Addr {
-		t.Fatalf("survivor uplink = %s, want the promoted address %s", m1.uplink.Addr(), m0.Addr)
+	if addr := m1.Status().Takeover.CentralAddr; addr != m0.Addr {
+		t.Fatalf("survivor uplink = %s, want the promoted address %s", addr, m0.Addr)
 	}
 
 	// Every pre-kill committed event is present on the new central.
@@ -164,7 +170,7 @@ func runWireTakeover(t *testing.T, m0, m1 *mirrorSite) {
 	waitUntil(t, 10*time.Second, "byte-exact survivor state", func() bool {
 		want = pc.Central.Main().Engine().State().Snapshot()
 		got = m1.Mirror.Main().Engine().State().Snapshot()
-		return !pc.excluded(1) && bytes.Equal(want, got)
+		return !pc.Member.Excluded(1) && bytes.Equal(want, got)
 	})
 
 	// Operations plane: both sites report the takeover with
@@ -173,14 +179,14 @@ func runWireTakeover(t *testing.T, m0, m1 *mirrorSite) {
 	if d0.Role != "central" || d0.CentralEpoch != 1 {
 		t.Fatalf("promoted status = role %q epoch %d, want central/1", d0.Role, d0.CentralEpoch)
 	}
-	if d0.Takeover == nil || !d0.Takeover.Armed || d0.Takeover.Role != rolePromoted || !d0.Takeover.Fired {
+	if d0.Takeover == nil || !d0.Takeover.Armed || d0.Takeover.Role != core.TakeoverPromoted || !d0.Takeover.Fired {
 		t.Fatalf("promoted takeover status = %+v", d0.Takeover)
 	}
 	d1 := clusterStatus(t, m1.HTTPAddr)
 	if d1.CentralEpoch < 1 {
 		t.Fatalf("survivor central_epoch = %d, want >= 1", d1.CentralEpoch)
 	}
-	if d1.Takeover == nil || d1.Takeover.Role != roleFollower && d1.Takeover.Role != roleStandby ||
+	if d1.Takeover == nil || d1.Takeover.Role != core.TakeoverFollower && d1.Takeover.Role != core.TakeoverStandby ||
 		d1.Takeover.Epoch != 1 || d1.Takeover.Repoints != 1 {
 		t.Fatalf("survivor takeover status = %+v", d1.Takeover)
 	}
@@ -200,9 +206,10 @@ func runWireTakeover(t *testing.T, m0, m1 *mirrorSite) {
 // redials and rejoins. The survivor runs a larger budget so the
 // standby always fires first (the documented deployment shape).
 func TestWireTakeoverStandby(t *testing.T) {
-	m0 := takeoverMirror(t, 0, true, 2)
+	peers := freeAddrs(t, 2)
+	m0 := takeoverMirror(t, peers, 0, true, 2)
 	defer m0.Close()
-	m1 := takeoverMirror(t, 1, false, 8)
+	m1 := takeoverMirror(t, peers, 1, false, 8)
 	defer m1.Close()
 	runWireTakeover(t, m0, m1)
 }
@@ -211,9 +218,10 @@ func TestWireTakeoverStandby(t *testing.T) {
 // over TCP. Site 0 fires first and, holding the same committed cut,
 // wins the tie-break (lowest site ID).
 func TestWireTakeoverElection(t *testing.T) {
-	m0 := takeoverMirror(t, 0, false, 2)
+	peers := freeAddrs(t, 2)
+	m0 := takeoverMirror(t, peers, 0, false, 2)
 	defer m0.Close()
-	m1 := takeoverMirror(t, 1, false, 5)
+	m1 := takeoverMirror(t, peers, 1, false, 5)
 	defer m1.Close()
 	runWireTakeover(t, m0, m1)
 
@@ -226,9 +234,10 @@ func TestWireTakeoverElection(t *testing.T) {
 // TestTakeoverIgnoresIdleCluster: a live but idle central advances no
 // rounds; the liveness probe must keep the standby from firing.
 func TestTakeoverIgnoresIdleCluster(t *testing.T) {
-	m0 := takeoverMirror(t, 0, true, 2)
+	peers := freeAddrs(t, 2)
+	m0 := takeoverMirror(t, peers, 0, true, 2)
 	defer m0.Close()
-	m1 := takeoverMirror(t, 1, false, 8)
+	m1 := takeoverMirror(t, peers, 1, false, 8)
 	defer m1.Close()
 	central, err := startCentral(centralOptions{
 		Listen: "127.0.0.1:0", HTTP: "127.0.0.1:0",
@@ -239,10 +248,8 @@ func TestTakeoverIgnoresIdleCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer central.Close()
-	patchManifest(m0, []string{m0.Addr, m1.Addr})
-	patchManifest(m1, []string{m0.Addr, m1.Addr})
-	m0.uplink.Repoint(central.Addr)
-	m1.uplink.Repoint(central.Addr)
+	m0.Repoint(central.Addr)
+	m1.Repoint(central.Addr)
 
 	// One commit, then silence: the budget (2 x 50ms) expires many
 	// times over while the central idles.
@@ -253,65 +260,10 @@ func TestTakeoverIgnoresIdleCluster(t *testing.T) {
 		return commits > 0 && m0.Mirror.LastRound() > 0
 	})
 	time.Sleep(500 * time.Millisecond)
-	if m0.promoted.Load() != nil {
+	if m0.Promoted() != nil {
 		t.Fatal("standby usurped a live idle central")
 	}
-	if info := m0.takeover.Info(); info.Fired {
+	if info := m0.Takeover().Info(); info.Fired {
 		t.Fatalf("takeover fired against a live central: %+v", info)
-	}
-}
-
-// TestLazyUplinkBoundedWrite pins the stalled-peer fix: a peer that
-// accepts the connection but never drains it must fail a submission in
-// bounded time instead of holding the uplink mutex forever.
-func TestLazyUplinkBoundedWrite(t *testing.T) {
-	// A raw listener that completes no reads: the dial handshake (if
-	// any) and every write eventually fill the kernel buffers.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			defer conn.Close() // hold open, never read
-		}
-	}()
-
-	l := &lazyUplink{
-		addr: ln.Addr().String(), name: chanCtrlUp,
-		dialTimeout: time.Second, writeTimeout: 200 * time.Millisecond,
-	}
-	defer l.Close()
-
-	// 64KiB payloads fill the socket buffers within a few MB of
-	// writes; the write deadline must then surface an error.
-	e := event.NewPosition(1, 1, 0, 0, 0, 64<<10)
-	e.VT = vclock.VC{1}
-	start := time.Now()
-	var submitErr error
-	for i := 0; i < 4096; i++ {
-		if submitErr = l.Submit(e); submitErr != nil {
-			break
-		}
-		if time.Since(start) > 20*time.Second {
-			break
-		}
-	}
-	if submitErr == nil {
-		t.Fatal("submissions to a never-reading peer never failed")
-	}
-	if elapsed := time.Since(start); elapsed > 20*time.Second {
-		t.Fatalf("bounded-write failure took %s", elapsed)
-	}
-	// The uplink self-heals: after the failure the link is dropped and
-	// the next submission redials rather than reusing the wedged
-	// connection.
-	if l.link != nil {
-		t.Fatal("failed link not cleared for redial")
 	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"adaptmirror/internal/core"
 	"adaptmirror/internal/event"
+	"adaptmirror/internal/node"
 )
 
 // cuttableLink drops traffic when severed.
@@ -33,31 +34,28 @@ func (l *cuttableLink) Submit(e *event.Event) error {
 func main() {
 	// Assemble one central + two mirrors by hand so the links can be
 	// severed.
-	var mirrors [2]*core.MirrorSite
+	var mirrors [2]*node.Mirror
 	var links [4]*cuttableLink // data,ctrl per mirror
 	var coreLinks []core.MirrorLink
-	var central *core.Central
+	var central *node.Central
 	for i := 0; i < 2; i++ {
 		i := i
 		links[2*i] = &cuttableLink{fn: func(e *event.Event) error { mirrors[i].HandleData(e); return nil }}
 		links[2*i+1] = &cuttableLink{fn: func(e *event.Event) error { mirrors[i].HandleControl(e); return nil }}
 		coreLinks = append(coreLinks, core.MirrorLink{Data: links[2*i], Ctrl: links[2*i+1]})
 	}
-	central = core.NewCentral(core.CentralConfig{
+	central = node.NewCentral(node.CentralConfig{CentralConfig: core.CentralConfig{
 		Streams: 1,
 		Params:  core.Params{CheckpointFreq: 25},
 		Mirrors: coreLinks,
-	})
+	}})
 	defer central.Close()
 	for i := 0; i < 2; i++ {
-		mirrors[i] = core.NewMirrorSite(core.MirrorSiteConfig{
-			SiteID: uint8(i),
-			CtrlUp: senderFunc(func(e *event.Event) error { central.HandleControl(e); return nil }),
-		})
+		mirrors[i] = newMirror(i, central)
 	}
 	defer mirrors[0].Close()
 
-	member := core.NewMembership(central, core.MembershipConfig{
+	member := core.NewMembership(central.Central, core.MembershipConfig{
 		MissedRounds: 3,
 		OnFailure:    func(site int) { fmt.Printf("!! mirror %d excluded after missing 3 checkpoint rounds\n", site) },
 		OnRejoin:     func(site int) { fmt.Printf("** mirror %d re-admitted to the quorum\n", site) },
@@ -91,10 +89,7 @@ func main() {
 
 	fmt.Println("\nmirror 1 restarts empty and rejoins...")
 	mirrors[1].Close()
-	mirrors[1] = core.NewMirrorSite(core.MirrorSiteConfig{
-		SiteID: 1,
-		CtrlUp: senderFunc(func(e *event.Event) error { central.HandleControl(e); return nil }),
-	})
+	mirrors[1] = newMirror(1, central)
 	defer mirrors[1].Close()
 	links[2].dead.Store(false)
 	links[3].dead.Store(false)
@@ -116,6 +111,14 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("   and serves clients again: init state = %d bytes\n", len(state))
+}
+
+// newMirror builds mirror i with its control uplink wired to central.
+func newMirror(i int, central *node.Central) *node.Mirror {
+	return node.NewMirror(node.MirrorConfig{MirrorSiteConfig: core.MirrorSiteConfig{
+		SiteID: uint8(i),
+		CtrlUp: senderFunc(func(e *event.Event) error { central.HandleControl(e); return nil }),
+	}})
 }
 
 type senderFunc func(*event.Event) error

@@ -16,44 +16,26 @@ import (
 	"adaptmirror/internal/core"
 	"adaptmirror/internal/ede"
 	"adaptmirror/internal/event"
+	"adaptmirror/internal/node"
 )
-
-type senderFunc func(*event.Event) error
-
-func (f senderFunc) Submit(e *event.Event) error { return f(e) }
 
 func main() {
 	// Two mirrors: a state replica and a weather-analytics site.
-	replica := core.NewMirrorSite(core.MirrorSiteConfig{
-		SiteID: 0,
-		Main:   core.MainConfig{EDE: ede.Config{Rules: ede.ExtendedRules()}},
-	})
+	// (Control uplinks are omitted: the demo focuses on data flow.)
+	extended := core.MainConfig{EDE: ede.Config{Rules: ede.ExtendedRules()}}
+	replica := node.NewMirror(node.MirrorConfig{MirrorSiteConfig: core.MirrorSiteConfig{SiteID: 0, Main: extended}})
 	defer replica.Close()
-	analytics := core.NewMirrorSite(core.MirrorSiteConfig{
-		SiteID: 1,
-		Main:   core.MainConfig{EDE: ede.Config{Rules: ede.ExtendedRules()}},
-	})
+	analytics := node.NewMirror(node.MirrorConfig{MirrorSiteConfig: core.MirrorSiteConfig{SiteID: 1, Main: extended}})
 	defer analytics.Close()
 
-	central := core.NewCentral(core.CentralConfig{
+	weatherOnly := analytics.Link()
+	weatherOnly.Filter = func(e *event.Event) bool { return e.Type == event.TypeWeather }
+	central := node.NewCentral(node.CentralConfig{CentralConfig: core.CentralConfig{
 		Streams: 2,
-		Main:    core.MainConfig{EDE: ede.Config{Rules: ede.ExtendedRules()}},
-		Mirrors: []core.MirrorLink{
-			{
-				Data: senderFunc(func(e *event.Event) error { replica.HandleData(e); return nil }),
-				Ctrl: senderFunc(func(e *event.Event) error { replica.HandleControl(e); return nil }),
-			},
-			{
-				Data:   senderFunc(func(e *event.Event) error { analytics.HandleData(e); return nil }),
-				Ctrl:   senderFunc(func(e *event.Event) error { analytics.HandleControl(e); return nil }),
-				Filter: func(e *event.Event) bool { return e.Type == event.TypeWeather },
-			},
-		},
-	})
+		Main:    extended,
+		Mirrors: []core.MirrorLink{replica.Link(), weatherOnly},
+	}})
 	defer central.Close()
-	for _, m := range []*core.MirrorSite{replica, analytics} {
-		_ = m // control uplinks omitted: the demo focuses on data flow
-	}
 
 	// A stormy operational hour: positions, crew and baggage updates,
 	// and weather reports of rising severity.

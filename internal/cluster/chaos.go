@@ -75,6 +75,7 @@ import (
 	"adaptmirror/internal/event"
 	"adaptmirror/internal/faultinject"
 	"adaptmirror/internal/metrics"
+	"adaptmirror/internal/node"
 	"adaptmirror/internal/obs"
 	"adaptmirror/internal/vclock"
 )
@@ -264,7 +265,7 @@ type chaosRig struct {
 	// same late binding the mirror slots already use.
 	central atomic.Pointer[core.Central]
 	member  atomic.Pointer[core.Membership]
-	slots   []atomic.Pointer[core.MirrorSite]
+	slots   []atomic.Pointer[node.Mirror]
 	cpus    []*costmodel.CPU // [0] central, [1..] mirrors
 	hist    *metrics.Histogram
 	audit   *obs.AuditLog
@@ -295,11 +296,10 @@ type chaosRig struct {
 	preCrashCut vclock.VC
 	fedBase     uint64
 
-	// controller is the central adaptation decision-maker; appliers
-	// hold each mirror slot's current directive applier (swapped with
-	// the site on crash-restart — the watermark is volatile state).
+	// controller is the central adaptation decision-maker. Each mirror
+	// slot's directive applier lives with its site (swapped on
+	// crash-restart — the watermark is volatile state).
 	controller *adapt.Controller
-	appliers   []atomic.Pointer[adapt.Applier]
 
 	// adaptMu guards the install watermarks and violations recorded
 	// from applier install callbacks, plus the counters retired from
@@ -322,32 +322,24 @@ func (r *chaosRig) mem() *core.Membership { return r.member.Load() }
 // newMirror builds one mirror-site incarnation. The control uplink is
 // the plane's per-mirror Link, shared across incarnations so the fault
 // decision stream continues over a restart, exactly like a network
-// path that outlives the host behind it.
-func (r *chaosRig) newMirror(i int) *core.MirrorSite {
-	// Each incarnation gets a fresh applier: a crash loses the
-	// directive watermark with the rest of volatile state, and the
-	// recovery transfer re-delivers the current regime.
-	ap := adapt.NewApplier(nil)
-	m := core.NewMirrorSite(core.MirrorSiteConfig{
-		Model:  chaosModel,
-		CPU:    r.cpus[i+1],
-		SiteID: uint8(i),
-		CtrlUp: r.ctrlUp[i],
-		// Central-crash class: every mirror runs standby-armed (journal
-		// + sealed cuts), so whichever site the takeover promotes keeps
-		// serving delta rejoins.
-		Standby: r.cfg.CentralCrash,
-		OnPiggyback: func(round uint64, b []byte) {
-			ap.Apply(round, b)
+// path that outlives the host behind it. Each incarnation gets a fresh
+// applier: a crash loses the directive watermark with the rest of
+// volatile state, and the recovery transfer re-delivers the current
+// regime.
+func (r *chaosRig) newMirror(i int) *node.Mirror {
+	return node.NewMirror(node.MirrorConfig{
+		MirrorSiteConfig: core.MirrorSiteConfig{
+			Model:  chaosModel,
+			CPU:    r.cpus[i+1],
+			SiteID: uint8(i),
+			CtrlUp: r.ctrlUp[i],
+			// Central-crash class: every mirror runs standby-armed
+			// (journal + sealed cuts), so whichever site the takeover
+			// promotes keeps serving delta rejoins.
+			Standby: r.cfg.CentralCrash,
 		},
+		OnInstall: func(round uint64) { r.noteInstall(i, round) },
 	})
-	install := adapt.InstallMirrorRegime(m)
-	ap.SetInstall(func(round uint64, reg adapt.Regime) {
-		install(round, reg)
-		r.noteInstall(i, round)
-	})
-	r.appliers[i].Store(ap)
-	return m
 }
 
 // noteInstall machine-checks directive versioning end to end: the
@@ -371,11 +363,7 @@ func (r *chaosRig) noteInstall(i int, round uint64) {
 // incarnation restarts the monotonicity baseline (its regime arrives
 // again through the recovery transfer).
 func (r *chaosRig) retireApplier(i int) {
-	ap := r.appliers[i].Load()
-	if ap == nil {
-		return
-	}
-	_, stale, invalid := ap.Stats()
+	_, stale, invalid := r.slots[i].Load().Applier.Stats()
 	r.adaptMu.Lock()
 	r.staleRetired += stale
 	r.invalidRetired += invalid
@@ -389,12 +377,10 @@ func (r *chaosRig) directiveStats() (stale, invalid uint64) {
 	r.adaptMu.Lock()
 	stale, invalid = r.staleRetired, r.invalidRetired
 	r.adaptMu.Unlock()
-	for i := range r.appliers {
-		if ap := r.appliers[i].Load(); ap != nil {
-			_, s, inv := ap.Stats()
-			stale += s
-			invalid += inv
-		}
+	for i := range r.slots {
+		_, s, inv := r.slots[i].Load().Applier.Stats()
+		stale += s
+		invalid += inv
 	}
 	return stale, invalid
 }
@@ -409,6 +395,21 @@ func (r *chaosRig) slowCharge(i int, base time.Duration, n int) {
 	r.cpus[i+1].ChargeAsync(time.Duration(r.sched.SlowFactor-1) * base * time.Duration(n))
 }
 
+// chaosData is a mirror data link's delivery closure set: the chaos
+// rig routes each submission shape through the slot's current site,
+// charging the slow-mirror skew on the way.
+type chaosData struct {
+	one   func(*event.Event) error
+	many  func([]*event.Event) error
+	owned func([]*event.Event, event.Ref) error
+}
+
+func (f chaosData) Submit(e *event.Event) error         { return f.one(e) }
+func (f chaosData) SubmitBatch(es []*event.Event) error { return f.many(es) }
+func (f chaosData) SubmitOwned(es []*event.Event, ref event.Ref) error {
+	return f.owned(es, ref)
+}
+
 func newChaosRig(cfg ChaosConfig) *chaosRig {
 	sched := faultinject.NewSchedule(cfg.Seed, cfg.Mirrors)
 	if cfg.CentralCrash {
@@ -418,21 +419,17 @@ func newChaosRig(cfg ChaosConfig) *chaosRig {
 		cfg:           cfg,
 		sched:         sched,
 		reg:           obs.NewRegistry(),
-		slots:         make([]atomic.Pointer[core.MirrorSite], cfg.Mirrors),
+		slots:         make([]atomic.Pointer[node.Mirror], cfg.Mirrors),
 		peer:          make([][]*faultinject.Link, cfg.Mirrors),
 		promotedSlot:  -1,
 		hist:          metrics.NewHistogram(0),
 		prevCommitted: make([]vclock.VC, cfg.Mirrors+1),
-		appliers:      make([]atomic.Pointer[adapt.Applier], cfg.Mirrors),
 		lastInstall:   make([]uint64, cfg.Mirrors),
 	}
-	// The controller is fully constructed before the central exists:
-	// its ObserveSite closure runs on control-handling paths. The audit
-	// log records its transitions and, in the central-crash class, the
-	// promotion entry.
+	// The audit log records the controller's transitions and, in the
+	// central-crash class, the promotion entry.
 	r.audit = obs.NewAuditLog(0)
 	r.controller = adapt.NewController(chaosBaselineRegime, chaosDegradedRegime, nil)
-	r.controller.SetAudit(r.audit)
 	r.controller.SetMonitorValues(adapt.VarBackup, chaosAdaptPrimary, chaosAdaptSecondary)
 	r.plane = faultinject.NewPlane(cfg.Seed, r.reg)
 	for i := 0; i <= cfg.Mirrors; i++ {
@@ -445,7 +442,7 @@ func newChaosRig(cfg ChaosConfig) *chaosRig {
 		// Data links carry the mirrored stream the framework assumes is
 		// delivered in order, exactly once, to live mirrors — so they
 		// only ever fail whole (partition/crash), never probabilistically.
-		r.data = append(r.data, r.plane.Wrap(fmt.Sprintf("data.%d", i), batchSenderFunc{
+		r.data = append(r.data, r.plane.Wrap(fmt.Sprintf("data.%d", i), chaosData{
 			one: func(e *event.Event) error {
 				r.slowCharge(i, chaosModel.EventBase, 1)
 				r.slots[i].Load().HandleData(e)
@@ -467,7 +464,7 @@ func newChaosRig(cfg ChaosConfig) *chaosRig {
 		r.ctrlDown = append(r.ctrlDown, r.plane.Wrap(fmt.Sprintf("ctrl.down.%d", i),
 			senderFunc(func(e *event.Event) error {
 				r.slowCharge(i, chaosModel.ControlCost, 1)
-				r.deliverCtrl(i, e)
+				r.slots[i].Load().HandleControl(e)
 				return nil
 			}), sched.CtrlFaults))
 		r.ctrlUp = append(r.ctrlUp, r.plane.Wrap(fmt.Sprintf("ctrl.up.%d", i),
@@ -482,14 +479,17 @@ func newChaosRig(cfg ChaosConfig) *chaosRig {
 		links[i] = core.MirrorLink{Data: r.data[i], Ctrl: r.ctrlDown[i]}
 	}
 
-	r.installCentral(core.NewCentral(core.CentralConfig{
-		Streams:        1,
-		Model:          chaosModel,
-		CPU:            r.cpus[0],
-		Main:           core.MainConfig{DelayHist: r.hist},
-		Mirrors:        links,
-		OnMirrorSample: r.observeSite,
-	}))
+	r.installCentral(node.NewCentral(node.CentralConfig{
+		CentralConfig: core.CentralConfig{
+			Streams: 1,
+			Model:   chaosModel,
+			CPU:     r.cpus[0],
+			Main:    core.MainConfig{DelayHist: r.hist},
+			Mirrors: links,
+		},
+		Controller: r.controller,
+		Audit:      r.audit,
+	}).Central)
 	for i := 0; i < cfg.Mirrors; i++ {
 		r.slots[i].Store(r.newMirror(i))
 	}
@@ -507,19 +507,13 @@ func newChaosRig(cfg ChaosConfig) *chaosRig {
 
 // installCentral makes c the rig's central. Rounds are manual only:
 // the driver sequences checkpoints against stream positions so the
-// schedule is machine-speed independent. Decision point: each round's
-// CHKPT observes the central's own queues and piggybacks whatever
-// regime is current, stamped with the round.
+// schedule is machine-speed independent. (Its node assembly attached
+// the controller: each round's CHKPT observes the central's own queues
+// and piggybacks whatever regime is current, stamped with the round.)
 func (r *chaosRig) installCentral(c *core.Central) {
 	c.SetParams(false, 1, 1<<30)
-	c.SetPiggyback(func() []byte {
-		r.controller.Observe(c.Sample())
-		return adapt.EncodeRegime(r.controller.Current())
-	})
 	r.central.Store(c)
 }
-
-func (r *chaosRig) observeSite(site int, s core.Sample) { r.controller.ObserveSite(site, s) }
 
 // check samples the continuously checkable invariants (1 and the
 // structural half of 2). It runs from the driver goroutine only.
@@ -873,7 +867,7 @@ func (r *chaosRig) armTakeover() {
 		for b := range r.peer[a] {
 			b := b
 			r.peer[a][b] = r.plane.Wrap(fmt.Sprintf("peer.%d.%d", a, b), senderFunc(func(e *event.Event) error {
-				r.deliverCtrl(b, e)
+				r.slots[b].Load().HandleControl(e)
 				return nil
 			}), r.sched.CtrlFaults)
 		}
@@ -884,29 +878,20 @@ func (r *chaosRig) armTakeover() {
 		if !r.sched.Election && i > 0 {
 			budget = 2*budget + 2 // the standby fires first
 		}
-		rt, err := core.NewTakeover(core.TakeoverConfig{
-			Site: r.slots[i].Load(), Self: i, Peers: n,
+		rt, err := r.slots[i].Load().ArmTakeover(core.TakeoverConfig{
+			Self: i, Peers: n,
 			Standby: standby, Budget: budget, Interval: takeoverTick,
-			Directive: func() ([]byte, uint64, bool) {
-				reg, round, ok := r.appliers[i].Load().Current()
-				return adapt.EncodeRegime(reg), round, ok
-			},
-			Central:    core.CentralConfig{Model: chaosModel, CPU: r.cpus[i+1], Obs: r.reg, OnMirrorSample: r.observeSite},
 			Membership: core.MembershipConfig{MissedRounds: r.cfg.MissedRounds, OnFailure: r.controller.EvictSite},
 			Transport:  chaosPeer{r: r, slot: i},
+		}, node.CentralConfig{
+			CentralConfig: core.CentralConfig{Model: chaosModel, CPU: r.cpus[i+1], Obs: r.reg},
+			Controller:    r.controller,
+			Audit:         r.audit,
 		})
 		if err != nil {
 			panic(err) // the manifest is built from the slots above
 		}
 		r.rts = append(r.rts, rt)
-	}
-}
-
-// deliverCtrl hands a control-downlink event to mirror slot i: takeover
-// frames to its runtime, everything else to the site.
-func (r *chaosRig) deliverCtrl(i int, e *event.Event) {
-	if r.rts == nil || !r.rts[i].HandleControl(e) {
-		r.slots[i].Load().HandleControl(e)
 	}
 }
 
@@ -1144,11 +1129,11 @@ func (r *chaosRig) finish(res *ChaosResult) {
 	}
 	if !r.regimesConverged() {
 		want := r.controller.Current()
-		for i := range r.appliers {
+		for i := range r.slots {
 			if !r.isMirror(i) {
 				continue
 			}
-			reg, round, ok := r.appliers[i].Load().Current()
+			reg, round, ok := r.slots[i].Load().Applier.Current()
 			id, _, _ := r.slots[i].Load().Regime()
 			if !ok || reg.ID != want.ID || id != want.ID {
 				r.violatef("adapt: mirror %d regime applier=%d site=%d (round %d, have=%v) != central %d after drain",
@@ -1195,11 +1180,11 @@ func (r *chaosRig) finish(res *ChaosResult) {
 // regime ID.
 func (r *chaosRig) regimesConverged() bool {
 	want := r.controller.Current().ID
-	for i := range r.appliers {
+	for i := range r.slots {
 		if !r.isMirror(i) {
 			continue
 		}
-		reg, _, ok := r.appliers[i].Load().Current()
+		reg, _, ok := r.slots[i].Load().Applier.Current()
 		if !ok || reg.ID != want {
 			return false
 		}

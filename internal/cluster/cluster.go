@@ -1,25 +1,24 @@
 // Package cluster assembles a mirrored OIS server — one central site
-// plus N mirror sites — over a choice of transports, and exposes the
-// handles experiments need: feeding events, draining the pipeline,
-// request targets, and the per-node virtual CPUs. It is the
-// reproduction's stand-in for the paper's 8-node Pentium III cluster.
+// plus N mirror sites, built by internal/node — over a choice of
+// transports, and exposes the handles experiments need: feeding
+// events, draining the pipeline, request targets, and the per-node
+// virtual CPUs. It is the reproduction's stand-in for the paper's
+// 8-node Pentium III cluster.
 package cluster
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
 	"adaptmirror/internal/adapt"
 	"adaptmirror/internal/core"
 	"adaptmirror/internal/costmodel"
-	"adaptmirror/internal/echo"
 	"adaptmirror/internal/ede"
 	"adaptmirror/internal/event"
 	"adaptmirror/internal/metrics"
+	"adaptmirror/internal/node"
 	"adaptmirror/internal/obs"
-	"adaptmirror/internal/simnet"
 	"adaptmirror/internal/status"
 )
 
@@ -33,11 +32,8 @@ const (
 	// modeled by the cost model, matching the paper's observation
 	// that intra-cluster bandwidth is not the bottleneck).
 	TransportDirect Transport = iota
-	// TransportChannels wires sites with in-process ECho event
-	// channels (asynchronous per-subscriber dispatch).
-	TransportChannels
-	// TransportTCP wires sites with framed events over loopback TCP,
-	// optionally shaped by a simnet profile — the deployment path.
+	// TransportTCP wires sites with framed events over loopback TCP —
+	// the deployment path cmd/mirrord runs.
 	TransportTCP
 )
 
@@ -46,8 +42,6 @@ func (t Transport) String() string {
 	switch t {
 	case TransportDirect:
 		return "direct"
-	case TransportChannels:
-		return "channels"
 	case TransportTCP:
 		return "tcp"
 	default:
@@ -61,8 +55,6 @@ type Config struct {
 	Mirrors int
 	// Transport wires the sites (default TransportDirect).
 	Transport Transport
-	// Shaping applies to TCP links (TransportTCP only).
-	Shaping simnet.Profile
 	// Params are the initial mirroring parameters.
 	Params core.Params
 	// Model is the CPU cost model for every site.
@@ -86,9 +78,6 @@ type Config struct {
 	// SeriesBin, when non-zero, records a delay time series with this
 	// bin width (Figure 9).
 	SeriesBin time.Duration
-	// OnMirrorSample forwards piggybacked mirror monitor samples
-	// (adaptation input) together with the reporting mirror's index.
-	OnMirrorSample func(site int, s core.Sample)
 	// ClientOut, when non-nil, additionally receives the central
 	// site's client update stream (thin clients, operations logs).
 	ClientOut core.Sender
@@ -127,61 +116,21 @@ type Cluster struct {
 	// mirror apply, checkpoint commit) shared by every site.
 	Tracer *obs.Tracer
 
-	// Appliers[i] is mirror i's adaptation applier: it consumes the
-	// regime directives the central piggybacks on CHKPT traffic,
-	// discards stale/duplicate deliveries by checkpoint round, and
-	// installs the mirror-relevant parameters on Mirrors[i]. Always
-	// wired (a non-adaptive cluster simply never sees a directive) so
-	// every deployment exports the per-site adapt_regime_id gauge.
-	Appliers []*adapt.Applier
-
-	// Controller and Audit are set when an adaptation controller runs
-	// against this cluster (RunExperiment wires them; manual assemblies
-	// may too). Both may be nil; the status plane degrades gracefully.
-	Controller *adapt.Controller
-	Audit      *obs.AuditLog
+	central *node.Central
+	mirrors []*node.Mirror
 
 	start     time.Time
 	closers   []func()
 	closeOnce sync.Once
-
-	sampleMu sync.Mutex
-	onSample func(site int, s core.Sample)
 }
 
-// SetOnMirrorSample installs (or replaces) the callback receiving the
-// monitor samples mirror sites piggyback on checkpoint replies. It
-// composes with Config.OnMirrorSample: both are invoked.
-func (cl *Cluster) SetOnMirrorSample(f func(site int, s core.Sample)) {
-	cl.sampleMu.Lock()
-	cl.onSample = f
-	cl.sampleMu.Unlock()
-}
-
-func (cl *Cluster) dispatchSample(site int, s core.Sample, configured func(int, core.Sample)) {
-	if configured != nil {
-		configured(site, s)
-	}
-	cl.sampleMu.Lock()
-	f := cl.onSample
-	cl.sampleMu.Unlock()
-	if f != nil {
-		f(site, s)
-	}
-}
-
-// newApplier creates mirror i's directive applier and exports its
-// metrics; the install hook is attached once the site exists.
-func (cl *Cluster) newApplier(i int) *adapt.Applier {
-	ap := adapt.NewApplier(nil)
-	ap.RegisterMetrics(cl.Obs, fmt.Sprintf("mirror%d", i))
-	// The wire-takeover counters are part of every mirror site's
-	// metrics surface (cmd/mirrord arms them with -takeover-budget);
-	// the in-process cluster registers them at zero so dashboards and
-	// the metrics lint see the full shape.
-	core.RegisterTakeoverMetrics(cl.Obs, fmt.Sprintf("mirror%d", i))
-	cl.Appliers = append(cl.Appliers, ap)
-	return ap
+// Adapt attaches an adaptation controller to the central site (see
+// node.CentralConfig.Controller) and returns the audit log recording
+// its transitions.
+func (cl *Cluster) Adapt(ctl *adapt.Controller) *obs.AuditLog {
+	audit := obs.NewAuditLog(0)
+	cl.central.Adapt(ctl, audit)
+	return audit
 }
 
 // counterSink counts submissions (the regular-clients channel) and
@@ -218,12 +167,6 @@ func New(cfg Config) (*Cluster, error) {
 	cl.Obs.RegisterHistogram("request_latency_seconds", cl.RequestHist)
 	cl.Obs.Describe("client_updates_total", "State updates emitted to regular clients.")
 	cl.Obs.RegisterCounter("client_updates_total", cl.Updates)
-	cl.Obs.Describe("slab_pool_hit_total", "Batch-frame slabs served from the pool.")
-	cl.Obs.Describe("slab_pool_miss_total", "Batch-frame slabs freshly allocated on pool miss.")
-	cl.Obs.Describe("slab_pool_retained_total", "Batch-frame slabs returned to the pool for reuse.")
-	cl.Obs.CounterFunc("slab_pool_hit_total", func() float64 { h, _, _ := event.SlabPoolStats(); return float64(h) })
-	cl.Obs.CounterFunc("slab_pool_miss_total", func() float64 { _, m, _ := event.SlabPoolStats(); return float64(m) })
-	cl.Obs.CounterFunc("slab_pool_retained_total", func() float64 { _, _, r := event.SlabPoolStats(); return float64(r) })
 	if cfg.SeriesBin > 0 {
 		cl.DelaySeries = metrics.NewSeries(cl.start, cfg.SeriesBin)
 	}
@@ -235,48 +178,101 @@ func New(cfg Config) (*Cluster, error) {
 	mainCfg.Out = counterSink{c: cl.Updates, next: cfg.ClientOut}
 	mainCfg.DelayHist = cl.DelayHist
 	mainCfg.DelaySeries = cl.DelaySeries
-
-	var links []core.MirrorLink
-	var err error
-	switch cfg.Transport {
-	case TransportDirect:
-		links = cl.wireDirect(cfg)
-	case TransportChannels:
-		links = cl.wireChannels(cfg)
-	case TransportTCP:
-		links, err = cl.wireTCP(cfg)
-		if err != nil {
-			cl.Close()
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("cluster: unknown transport %d", cfg.Transport)
-	}
-
 	var auxCPU *costmodel.CPU
 	if cfg.NICOffload {
 		auxCPU = &costmodel.CPU{}
 		cl.CPUs = append(cl.CPUs, auxCPU)
 	}
-	configured := cfg.OnMirrorSample
-	cl.Central = core.NewCentral(core.CentralConfig{
+	central := node.CentralConfig{CentralConfig: core.CentralConfig{
 		Streams:      cfg.Streams,
 		Params:       cfg.Params,
 		Model:        cfg.Model,
 		CPU:          cl.CPUs[0],
 		AuxCPU:       auxCPU,
 		Main:         mainCfg,
-		Mirrors:      links,
 		NoMirror:     cfg.NoMirror,
 		DeltaHorizon: cfg.DeltaHorizon,
 		Obs:          cl.Obs,
 		Tracer:       cl.Tracer,
-		OnMirrorSample: func(site int, s core.Sample) {
-			cl.dispatchSample(site, s, configured)
-		},
-	})
-	cl.finishWiring()
+	}}
+	mirrors := make([]node.MirrorConfig, cfg.Mirrors)
+	for i := range mirrors {
+		mirrors[i] = node.MirrorConfig{MirrorSiteConfig: core.MirrorSiteConfig{
+			Main:   cl.siteMainCfg(cfg),
+			Model:  cfg.Model,
+			CPU:    cl.CPUs[i+1],
+			SiteID: uint8(i),
+			Obs:    cl.Obs,
+			Tracer: cl.Tracer,
+		}}
+	}
+
+	switch cfg.Transport {
+	case TransportDirect:
+		cl.wireDirect(central, mirrors)
+	case TransportTCP:
+		if err := cl.wireTCP(central, mirrors); err != nil {
+			cl.Close()
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("cluster: unknown transport %d", cfg.Transport)
+	}
+	cl.Central = cl.central.Central
+	for _, m := range cl.mirrors {
+		cl.Mirrors = append(cl.Mirrors, m.MirrorSite)
+	}
 	return cl, nil
+}
+
+type senderFunc func(*event.Event) error
+
+func (f senderFunc) Submit(e *event.Event) error { return f(e) }
+
+// wireDirect connects sites with synchronous calls. Mirrors are
+// created first; their control uplinks reach the central late-bound.
+func (cl *Cluster) wireDirect(central node.CentralConfig, mirrors []node.MirrorConfig) {
+	up := senderFunc(func(e *event.Event) error {
+		cl.central.HandleControl(e)
+		return nil
+	})
+	for _, mc := range mirrors {
+		mc.CtrlUp = up
+		m := node.NewMirror(mc)
+		cl.closers = append(cl.closers, m.Close)
+		cl.mirrors = append(cl.mirrors, m)
+		central.Mirrors = append(central.Mirrors, m.Link())
+	}
+	cl.central = node.NewCentral(central)
+	cl.closers = append(cl.closers, cl.central.Close)
+}
+
+// wireTCP serves every site over loopback TCP exactly as cmd/mirrord
+// deploys them: mirrors first, then the central dialing each, then
+// the mirrors' control uplinks pointed at the central's address.
+func (cl *Cluster) wireTCP(central node.CentralConfig, mirrors []node.MirrorConfig) error {
+	addrs := make([]string, len(mirrors))
+	var servers []*node.MirrorServer
+	for i, mc := range mirrors {
+		s, err := node.ServeMirror(node.MirrorServerConfig{MirrorConfig: mc, Listen: "127.0.0.1:0"})
+		if err != nil {
+			return fmt.Errorf("cluster: mirror %d: %w", i, err)
+		}
+		cl.closers = append(cl.closers, func() { s.Close() })
+		cl.mirrors = append(cl.mirrors, s.Mirror)
+		servers = append(servers, s)
+		addrs[i] = s.Addr
+	}
+	c, err := node.ServeCentral(node.CentralServerConfig{CentralConfig: central, Listen: "127.0.0.1:0", MirrorAddrs: addrs})
+	if err != nil {
+		return fmt.Errorf("cluster: central: %w", err)
+	}
+	cl.closers = append(cl.closers, func() { c.Close() })
+	cl.central = c.Central
+	for _, s := range servers {
+		s.Repoint(c.Addr)
+	}
+	return nil
 }
 
 func edeConfig(cfg Config) ede.Config {
@@ -393,209 +389,14 @@ func (cl *Cluster) DrainAll() time.Time {
 	return costmodel.WaitIdle(cl.CPUs...)
 }
 
-// Close tears the cluster down.
+// Close tears the cluster down, central first.
 func (cl *Cluster) Close() {
 	cl.closeOnce.Do(func() {
-		if cl.Central != nil {
-			cl.Central.Close()
-		}
-		for _, m := range cl.Mirrors {
-			m.Close()
-		}
 		for i := len(cl.closers) - 1; i >= 0; i-- {
 			cl.closers[i]()
 		}
 	})
 }
-
-// --- wiring -----------------------------------------------------------
-
-type senderFunc func(*event.Event) error
-
-func (f senderFunc) Submit(e *event.Event) error { return f(e) }
-
-// batchSenderFunc adds native whole-batch submission so the central
-// fan-out pipeline's batches survive the direct transport intact. The
-// optional owned hook carries the zero-copy protocol (slab views
-// guarded by a borrow-during-call reference); when nil, owned batches
-// degrade to many with the reference leaked by the caller.
-type batchSenderFunc struct {
-	one   func(*event.Event) error
-	many  func([]*event.Event) error
-	owned func([]*event.Event, event.Ref) error
-}
-
-func (f batchSenderFunc) Submit(e *event.Event) error         { return f.one(e) }
-func (f batchSenderFunc) SubmitBatch(es []*event.Event) error { return f.many(es) }
-
-func (f batchSenderFunc) SubmitOwned(es []*event.Event, ref event.Ref) error {
-	if f.owned == nil {
-		if ref != nil {
-			ref.Retain() // surrender the slab to the GC, never recycle it
-		}
-		return f.many(es)
-	}
-	return f.owned(es, ref)
-}
-
-// wireDirect connects sites with synchronous calls. Mirrors are
-// created first; the central's links close over the slice.
-func (cl *Cluster) wireDirect(cfg Config) []core.MirrorLink {
-	links := make([]core.MirrorLink, cfg.Mirrors)
-	for i := 0; i < cfg.Mirrors; i++ {
-		i := i
-		ap := cl.newApplier(i)
-		m := core.NewMirrorSite(core.MirrorSiteConfig{
-			Main:   cl.siteMainCfg(cfg),
-			Model:  cfg.Model,
-			CPU:    cl.CPUs[i+1],
-			SiteID: uint8(i),
-			Obs:    cl.Obs,
-			Tracer: cl.Tracer,
-			OnPiggyback: func(round uint64, b []byte) {
-				ap.Apply(round, b)
-			},
-			CtrlUp: senderFunc(func(e *event.Event) error {
-				cl.Central.HandleControl(e)
-				return nil
-			}),
-		})
-		ap.SetInstall(adapt.InstallMirrorRegime(m))
-		cl.Mirrors = append(cl.Mirrors, m)
-		links[i] = core.MirrorLink{
-			Data: batchSenderFunc{
-				one:   func(e *event.Event) error { m.HandleData(e); return nil },
-				many:  func(es []*event.Event) error { m.HandleDataBatch(es); return nil },
-				owned: m.HandleOwnedBatch,
-			},
-			Ctrl: senderFunc(func(e *event.Event) error { m.HandleControl(e); return nil }),
-		}
-	}
-	return links
-}
-
-// wireChannels connects sites with in-process ECho channels.
-func (cl *Cluster) wireChannels(cfg Config) []core.MirrorLink {
-	links := make([]core.MirrorLink, cfg.Mirrors)
-	ctrlUp := echo.NewLocal("ctrl.up")
-	cl.closers = append(cl.closers, func() { ctrlUp.Close() })
-	ctrlUp.Subscribe(func(e *event.Event) { cl.Central.HandleControl(e) })
-	for i := 0; i < cfg.Mirrors; i++ {
-		ap := cl.newApplier(i)
-		m := core.NewMirrorSite(core.MirrorSiteConfig{
-			Main:   cl.siteMainCfg(cfg),
-			Model:  cfg.Model,
-			CPU:    cl.CPUs[i+1],
-			SiteID: uint8(i),
-			Obs:    cl.Obs,
-			Tracer: cl.Tracer,
-			OnPiggyback: func(round uint64, b []byte) {
-				ap.Apply(round, b)
-			},
-			CtrlUp: ctrlUp,
-		})
-		ap.SetInstall(adapt.InstallMirrorRegime(m))
-		cl.Mirrors = append(cl.Mirrors, m)
-		data := echo.NewLocal(fmt.Sprintf("data.%d", i))
-		ctrl := echo.NewLocal(fmt.Sprintf("ctrl.down.%d", i))
-		data.SubscribeBatch(m.HandleData, func(es []*event.Event, ref event.Ref) {
-			_ = m.HandleOwnedBatch(es, ref)
-		})
-		ctrl.Subscribe(m.HandleControl)
-		cl.closers = append(cl.closers, func() { data.Close(); ctrl.Close() })
-		links[i] = core.MirrorLink{Data: data, Ctrl: ctrl}
-	}
-	return links
-}
-
-// wireTCP connects sites over loopback TCP with optional shaping:
-// each mirror runs an ECho server exporting its data and control
-// channels; the central site dials shaped send links to each and runs
-// its own server for the shared control-up channel.
-func (cl *Cluster) wireTCP(cfg Config) ([]core.MirrorLink, error) {
-	// Central's control-up server.
-	upBus := echo.NewBus()
-	upCh, _ := upBus.Open("ctrl.up")
-	upCh.Subscribe(func(e *event.Event) { cl.Central.HandleControl(e) })
-	upLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("cluster: central listener: %w", err)
-	}
-	upSrv := echo.NewServer(upBus)
-	go upSrv.Serve(upLn)
-	cl.closers = append(cl.closers, func() { upSrv.Close(); upBus.Close() })
-
-	links := make([]core.MirrorLink, cfg.Mirrors)
-	for i := 0; i < cfg.Mirrors; i++ {
-		bus := echo.NewBus()
-		dataCh, _ := bus.Open("data")
-		ctrlCh, _ := bus.Open("ctrl.down")
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("cluster: mirror %d listener: %w", i, err)
-		}
-		srv := echo.NewServer(bus)
-		go srv.Serve(ln)
-		cl.closers = append(cl.closers, func() { srv.Close(); bus.Close() })
-
-		// Mirror's uplink to the central control channel.
-		upConn, err := simnet.Dial(upLn.Addr().String(), cfg.Shaping)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: mirror %d uplink: %w", i, err)
-		}
-		upLink, err := echo.NewSendLink(upConn, "ctrl.up")
-		if err != nil {
-			return nil, fmt.Errorf("cluster: mirror %d uplink handshake: %w", i, err)
-		}
-		cl.closers = append(cl.closers, func() { upLink.Close() })
-
-		ap := cl.newApplier(i)
-		m := core.NewMirrorSite(core.MirrorSiteConfig{
-			Main:   cl.siteMainCfg(cfg),
-			Model:  cfg.Model,
-			CPU:    cl.CPUs[i+1],
-			SiteID: uint8(i),
-			Obs:    cl.Obs,
-			Tracer: cl.Tracer,
-			OnPiggyback: func(round uint64, b []byte) {
-				ap.Apply(round, b)
-			},
-			CtrlUp: upLink,
-		})
-		ap.SetInstall(adapt.InstallMirrorRegime(m))
-		cl.Mirrors = append(cl.Mirrors, m)
-		dataCh.SubscribeBatch(m.HandleData, func(es []*event.Event, ref event.Ref) {
-			_ = m.HandleOwnedBatch(es, ref)
-		})
-		ctrlCh.Subscribe(m.HandleControl)
-
-		// Central's downlinks to this mirror.
-		dataConn, err := simnet.Dial(ln.Addr().String(), cfg.Shaping)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: mirror %d data link: %w", i, err)
-		}
-		dataLink, err := echo.NewSendLink(dataConn, "data")
-		if err != nil {
-			return nil, fmt.Errorf("cluster: mirror %d data handshake: %w", i, err)
-		}
-		ctrlConn, err := simnet.Dial(ln.Addr().String(), cfg.Shaping)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: mirror %d ctrl link: %w", i, err)
-		}
-		ctrlLink, err := echo.NewSendLink(ctrlConn, "ctrl.down")
-		if err != nil {
-			return nil, fmt.Errorf("cluster: mirror %d ctrl handshake: %w", i, err)
-		}
-		cl.closers = append(cl.closers, func() { dataLink.Close(); ctrlLink.Close() })
-		links[i] = core.MirrorLink{Data: dataLink, Ctrl: ctrlLink}
-	}
-	return links, nil
-}
-
-// finishWiring is a hook for post-central-construction steps (the
-// direct transport's closures capture cl.Central lazily, so nothing is
-// needed today).
-func (cl *Cluster) finishWiring() {}
 
 // --- status plane -----------------------------------------------------
 
@@ -605,29 +406,19 @@ func (cl *Cluster) finishWiring() {}
 // piggybacked sample), rejoin accounting, checkpoint progress, and the
 // adaptation audit tail.
 func (cl *Cluster) CentralStatus() status.Document {
-	siteRegimes := make(map[int]status.SiteRegime, len(cl.Appliers))
-	for i, ap := range cl.Appliers {
-		if reg, round, ok := ap.Current(); ok {
+	siteRegimes := make(map[int]status.SiteRegime, len(cl.mirrors))
+	for i, m := range cl.mirrors {
+		if reg, round, ok := m.Applier.Current(); ok {
 			siteRegimes[i] = status.SiteRegime{RegimeID: reg.ID, DirectiveRound: round}
 		}
 	}
-	return status.Central(status.CentralSources{
-		Site:        "central",
-		Central:     cl.Central,
-		Controller:  cl.Controller,
-		Audit:       cl.Audit,
-		SiteRegimes: siteRegimes,
-	})
+	return cl.central.Status(siteRegimes)
 }
 
 // MirrorStatus builds mirror i's local status document.
 func (cl *Cluster) MirrorStatus(i int) status.Document {
-	if i < 0 || i >= len(cl.Mirrors) {
+	if i < 0 || i >= len(cl.mirrors) {
 		return status.Document{Role: "mirror"}
 	}
-	var ap *adapt.Applier
-	if i < len(cl.Appliers) {
-		ap = cl.Appliers[i]
-	}
-	return status.Mirror(fmt.Sprintf("mirror%d", i), cl.Mirrors[i], ap)
+	return cl.mirrors[i].Status()
 }

@@ -7,7 +7,6 @@ import (
 	"adaptmirror/internal/adapt"
 	"adaptmirror/internal/costmodel"
 	"adaptmirror/internal/event"
-	"adaptmirror/internal/simnet"
 )
 
 // lightModel keeps harness tests fast while still exercising the
@@ -56,30 +55,8 @@ func runOn(t *testing.T, tr Transport) {
 	}
 }
 
-func TestClusterDirect(t *testing.T)   { runOn(t, TransportDirect) }
-func TestClusterChannels(t *testing.T) { runOn(t, TransportChannels) }
-func TestClusterTCP(t *testing.T)      { runOn(t, TransportTCP) }
-
-func TestClusterTCPShaped(t *testing.T) {
-	cl, err := New(Config{
-		Mirrors:   1,
-		Transport: TransportTCP,
-		Shaping:   simnet.Profile{Bandwidth: 50e6, Latency: 50 * time.Microsecond},
-		Model:     lightModel,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	events := BuildEvents(Options{Flights: 2, UpdatesPerFlight: 10, EventSize: 512, Seed: 2})
-	if err := cl.Feed(events); err != nil {
-		t.Fatal(err)
-	}
-	cl.DrainAll()
-	if got := cl.Mirrors[0].Processed(); got != 20 {
-		t.Fatalf("mirror processed %d, want 20", got)
-	}
-}
+func TestClusterDirect(t *testing.T) { runOn(t, TransportDirect) }
+func TestClusterTCP(t *testing.T)    { runOn(t, TransportTCP) }
 
 func TestTargetsFallBackToCentral(t *testing.T) {
 	cl, err := New(Config{Mirrors: 0, Model: lightModel, NoMirror: true})
@@ -95,10 +72,9 @@ func TestTargetsFallBackToCentral(t *testing.T) {
 
 func TestTransportString(t *testing.T) {
 	for tr, want := range map[Transport]string{
-		TransportDirect:   "direct",
-		TransportChannels: "channels",
-		TransportTCP:      "tcp",
-		Transport(9):      "transport(9)",
+		TransportDirect: "direct",
+		TransportTCP:    "tcp",
+		Transport(9):    "transport(9)",
 	} {
 		if got := tr.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", tr, got, want)

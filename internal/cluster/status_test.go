@@ -10,7 +10,6 @@ import (
 	"adaptmirror/internal/adapt"
 	"adaptmirror/internal/core"
 	"adaptmirror/internal/httpfront"
-	"adaptmirror/internal/obs"
 	"adaptmirror/internal/status"
 )
 
@@ -40,23 +39,12 @@ func TestBandwidthEngageVisibleOnEverySite(t *testing.T) {
 		Mirrors: 2,
 		Model:   lightModel,
 		Params:  core.Params{CheckpointFreq: 50},
-		OnMirrorSample: func(site int, s core.Sample) {
-			controller.ObserveSite(site, s)
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	controller.SetApply(adapt.InstallRegime(cl.Central))
-	cl.Controller = controller
-	audit := obs.NewAuditLog(0)
-	cl.Audit = audit
-	controller.SetAudit(audit)
-	cl.Central.SetPiggyback(func() []byte {
-		controller.Observe(cl.Central.Sample())
-		return adapt.EncodeRegime(controller.Current())
-	})
+	audit := cl.Adapt(controller)
 
 	events := BuildEvents(Options{Flights: 10, UpdatesPerFlight: 50, EventSize: 256, Seed: 7})
 	if err := cl.Feed(events); err != nil {
@@ -194,22 +182,12 @@ func TestStatusScrapeStorm(t *testing.T) {
 		Mirrors: 2,
 		Model:   lightModel,
 		Params:  core.Params{CheckpointFreq: 50},
-		OnMirrorSample: func(site int, s core.Sample) {
-			controller.ObserveSite(site, s)
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	controller.SetApply(adapt.InstallRegime(cl.Central))
-	cl.Controller = controller
-	cl.Audit = obs.NewAuditLog(0)
-	controller.SetAudit(cl.Audit)
-	cl.Central.SetPiggyback(func() []byte {
-		controller.Observe(cl.Central.Sample())
-		return adapt.EncodeRegime(controller.Current())
-	})
+	cl.Adapt(controller)
 
 	front := httpfront.NewWithRegistry(cl.Central.Main(), cl.Obs)
 	defer front.Close()

@@ -354,6 +354,18 @@ func TestMirrorSampleReachesCentral(t *testing.T) {
 	})
 	r.feedPositions(t, 1, 50, 64)
 	r.drainAll()
+	// Checkpoint rounds run on the control task, asynchronously to
+	// Drain: wait (bounded) for the first reply's sample to land.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mu.Lock()
+		n := len(got)
+		mu.Unlock()
+		if n > 0 || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
 	mu.Lock()
 	defer mu.Unlock()
 	if len(got) == 0 {

@@ -93,8 +93,11 @@ type TakeoverConfig struct {
 	// site last installed, for the promoted central to re-broadcast.
 	Directive func() (payload []byte, round uint64, ok bool)
 	// Central is the promoted central's template; Streams, Params,
-	// Mirrors and Resume are filled in at promotion.
+	// Mirrors and Resume are filled in at promotion. NewCentral, when
+	// non-nil, builds it in place of NewCentral (the deployment's site
+	// assembly, so a promoted central carries the same wiring).
 	Central    CentralConfig
+	NewCentral func(CentralConfig) *Central
 	Membership MembershipConfig
 	Transport  TakeoverTransport
 	// Stats receives the counters (nil allocates private ones); Logf,
@@ -371,7 +374,11 @@ func (t *Takeover) promoteLocked(epoch uint64) {
 	cc := t.cfg.Central
 	cc.Streams = max(len(state.Clock), 1)
 	cc.Params, cc.Mirrors, cc.Resume = params, links, &state
-	central := NewCentral(cc)
+	build := t.cfg.NewCentral
+	if build == nil {
+		build = NewCentral
+	}
+	central := build(cc)
 	if overwrite > 0 {
 		central.InstallSelective(overwrite)
 	}

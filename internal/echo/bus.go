@@ -1,10 +1,6 @@
 package echo
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "sync"
 
 // Bus is a process-local registry of named channels. A site creates
 // one Bus and opens its data and control channels on it; the TCP
@@ -33,28 +29,6 @@ func (b *Bus) Open(name string) (*LocalChannel, error) {
 	c := NewLocal(name)
 	b.channels[name] = c
 	return c, nil
-}
-
-// Lookup returns the named channel or an error if it does not exist.
-func (b *Bus) Lookup(name string) (*LocalChannel, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if c, ok := b.channels[name]; ok {
-		return c, nil
-	}
-	return nil, fmt.Errorf("echo: no channel %q", name)
-}
-
-// Names returns the sorted names of all open channels.
-func (b *Bus) Names() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	names := make([]string, 0, len(b.channels))
-	for n := range b.channels {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Close closes every channel on the bus.

@@ -3,9 +3,7 @@
 // middleware the paper uses (Section 3.3): named logical event
 // channels connecting sources, mirrors, and clients, with separate
 // 'data' and 'control' channels per link, local fan-out delivery, and
-// a TCP transport for deployment across real machines. Derived
-// channels apply a filter predicate at the channel level, supporting
-// content-based filtering of mirrored events.
+// a TCP transport for deployment across real machines.
 package echo
 
 import (
@@ -380,36 +378,4 @@ func (s *Subscription) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.pending
-}
-
-// Derive creates a new channel fed by src through filter: events for
-// which filter returns true are re-submitted on the derived channel.
-// This is ECho's derived-event-channel mechanism, used for
-// content-based filtering of mirror traffic. Closing the derived
-// channel cancels the feeding subscription.
-func Derive(src Channel, name string, filter func(*event.Event) bool) (*DerivedChannel, error) {
-	d := &DerivedChannel{LocalChannel: NewLocal(name)}
-	sub, err := src.Subscribe(func(e *event.Event) {
-		if filter(e) {
-			_ = d.LocalChannel.Submit(e)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	d.src = sub
-	return d, nil
-}
-
-// DerivedChannel is a filtered view of another channel.
-type DerivedChannel struct {
-	*LocalChannel
-	src *Subscription
-}
-
-// Close detaches from the source channel and closes the derived
-// channel.
-func (d *DerivedChannel) Close() error {
-	d.src.Cancel()
-	return d.LocalChannel.Close()
 }

@@ -213,35 +213,6 @@ func TestSubscriptionPending(t *testing.T) {
 	c.Close()
 }
 
-func TestDerivedChannelFilters(t *testing.T) {
-	src := NewLocal("data")
-	d, err := Derive(src, "faa-only", func(e *event.Event) bool {
-		return e.Type == event.TypeFAAPosition
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var n atomic.Uint64
-	d.Subscribe(func(e *event.Event) {
-		if e.Type != event.TypeFAAPosition {
-			t.Error("filtered type leaked through")
-		}
-		n.Add(1)
-	})
-	src.Submit(ev(1))
-	src.Submit(&event.Event{Type: event.TypeDeltaStatus, Seq: 2})
-	src.Submit(ev(3))
-	waitFor(t, "derived deliveries", func() bool { return n.Load() == 2 })
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	src.Submit(ev(4))
-	time.Sleep(5 * time.Millisecond)
-	if n.Load() != 2 {
-		t.Fatalf("derived channel delivered after Close: %d", n.Load())
-	}
-}
-
 func TestBusOpenIdempotent(t *testing.T) {
 	b := NewBus()
 	c1, err := b.Open("data")
@@ -254,23 +225,6 @@ func TestBusOpenIdempotent(t *testing.T) {
 	}
 	if c1 != c2 {
 		t.Fatal("Open must return the same channel for the same name")
-	}
-	if _, err := b.Lookup("data"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Lookup("nope"); err == nil {
-		t.Fatal("Lookup of unknown channel must fail")
-	}
-}
-
-func TestBusNamesSorted(t *testing.T) {
-	b := NewBus()
-	for _, n := range []string{"zeta", "alpha", "mid"} {
-		b.Open(n)
-	}
-	names := b.Names()
-	if len(names) != 3 || names[0] != "alpha" || names[1] != "mid" || names[2] != "zeta" {
-		t.Fatalf("Names = %v", names)
 	}
 }
 

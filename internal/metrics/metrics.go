@@ -319,39 +319,3 @@ func (s *Series) Bins() []float64 {
 	}
 	return out
 }
-
-// Counts returns the number of observations per bin.
-func (s *Series) Counts() []uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]uint64, len(s.ns))
-	copy(out, s.ns)
-	return out
-}
-
-// MaxBin returns the largest per-bin average, ignoring empty bins.
-func (s *Series) MaxBin() float64 {
-	var max float64
-	for _, v := range s.Bins() {
-		if !math.IsNaN(v) && v > max {
-			max = v
-		}
-	}
-	return max
-}
-
-// MeanOfBins returns the average over non-empty bins.
-func (s *Series) MeanOfBins() float64 {
-	var sum float64
-	var n int
-	for _, v := range s.Bins() {
-		if !math.IsNaN(v) {
-			sum += v
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}

@@ -131,10 +131,6 @@ func TestSeriesBinning(t *testing.T) {
 	if bins[2] != 5 {
 		t.Fatalf("bin2 = %v, want 5", bins[2])
 	}
-	counts := s.Counts()
-	if counts[0] != 2 || counts[1] != 0 || counts[2] != 1 {
-		t.Fatalf("Counts = %v", counts)
-	}
 }
 
 func TestSeriesEarlyObservationsClampToBinZero(t *testing.T) {
@@ -147,31 +143,10 @@ func TestSeriesEarlyObservationsClampToBinZero(t *testing.T) {
 	}
 }
 
-func TestSeriesAggregates(t *testing.T) {
-	start := time.Unix(0, 0)
-	s := NewSeries(start, time.Second)
-	s.Observe(start.Add(500*time.Millisecond), 10)
-	s.Observe(start.Add(1500*time.Millisecond), 30)
-	s.Observe(start.Add(3500*time.Millisecond), 20)
-	if got := s.MaxBin(); got != 30 {
-		t.Fatalf("MaxBin = %v, want 30", got)
-	}
-	if got := s.MeanOfBins(); got != 20 {
-		t.Fatalf("MeanOfBins = %v, want 20", got)
-	}
-}
-
 func TestSeriesDefaultWidth(t *testing.T) {
 	s := NewSeries(time.Now(), 0)
 	if s.width != time.Second {
 		t.Fatalf("default width = %v, want 1s", s.width)
-	}
-}
-
-func TestSeriesEmptyAggregates(t *testing.T) {
-	s := NewSeries(time.Now(), time.Second)
-	if s.MaxBin() != 0 || s.MeanOfBins() != 0 {
-		t.Fatal("empty series aggregates must be 0")
 	}
 }
 

@@ -199,11 +199,6 @@ func (r *Registry) RegisterCounter(name string, c *metrics.Counter, ls ...Label)
 	r.with(name, kindCounter, ls, func(s *series) { s.counter, s.fn = c, nil })
 }
 
-// RegisterGauge exposes an existing gauge under (name, labels).
-func (r *Registry) RegisterGauge(name string, g *metrics.Gauge, ls ...Label) {
-	r.with(name, kindGauge, ls, func(s *series) { s.gauge, s.fn = g, nil })
-}
-
 // RegisterHistogram exposes an existing histogram under (name,
 // labels), exported as a Prometheus summary.
 func (r *Registry) RegisterHistogram(name string, h *metrics.Histogram, ls ...Label) {
@@ -236,16 +231,6 @@ func (r *Registry) Describe(name, help string) {
 		return
 	}
 	r.families[name] = &family{name: name, help: help, byKey: make(map[string]*series)}
-}
-
-// Families returns the number of registered metric families.
-func (r *Registry) Families() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.families)
 }
 
 // summaryQuantiles are the quantiles exported for histogram families.

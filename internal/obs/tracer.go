@@ -136,14 +136,6 @@ func (t *Tracer) ObserveCentralPath(ingress, readyAt, forwardAt int64, done time
 	t.hists[StageApply].Record(time.Duration(t3 - t2))
 }
 
-// StageHist exposes one stage's histogram (nil on a nil tracer).
-func (t *Tracer) StageHist(s Stage) *metrics.Histogram {
-	if t == nil || s >= numStages {
-		return nil
-	}
-	return t.hists[s]
-}
-
 // StageStat is one row of a tracer breakdown.
 type StageStat struct {
 	Stage string

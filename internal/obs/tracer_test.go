@@ -16,9 +16,6 @@ func TestTracerNilSafe(t *testing.T) {
 	if tr.CentralStageSum() != 0 {
 		t.Fatal("nil tracer CentralStageSum should be 0")
 	}
-	if tr.StageHist(StageApply) != nil {
-		t.Fatal("nil tracer StageHist should be nil")
-	}
 }
 
 func TestTracerTelescoping(t *testing.T) {
@@ -30,13 +27,13 @@ func TestTracerTelescoping(t *testing.T) {
 	done := base.Add(11 * time.Millisecond)
 	tr.ObserveCentralPath(t0, t1, t2, done)
 
-	if got := tr.StageHist(StageReadyWait).Max(); got != 2*time.Millisecond {
+	if got := tr.hists[StageReadyWait].Max(); got != 2*time.Millisecond {
 		t.Errorf("ready_wait = %v, want 2ms", got)
 	}
-	if got := tr.StageHist(StageForward).Max(); got != 3*time.Millisecond {
+	if got := tr.hists[StageForward].Max(); got != 3*time.Millisecond {
 		t.Errorf("forward = %v, want 3ms", got)
 	}
-	if got := tr.StageHist(StageApply).Max(); got != 6*time.Millisecond {
+	if got := tr.hists[StageApply].Max(); got != 6*time.Millisecond {
 		t.Errorf("apply = %v, want 6ms", got)
 	}
 	if got, want := tr.CentralStageSum(), 11*time.Millisecond; got != want {
@@ -52,10 +49,10 @@ func TestTracerClampsNonMonotone(t *testing.T) {
 	// negative, and still telescope.
 	tr.ObserveCentralPath(base.UnixNano(), 0, 0, base.Add(-time.Millisecond))
 	for s := StageReadyWait; s <= StageApply; s++ {
-		if got := tr.StageHist(s).Min(); got < 0 {
+		if got := tr.hists[s].Min(); got < 0 {
 			t.Errorf("stage %s recorded negative duration %v", s, got)
 		}
-		if got := tr.StageHist(s).Count(); got != 1 {
+		if got := tr.hists[s].Count(); got != 1 {
 			t.Errorf("stage %s count = %d, want 1", s, got)
 		}
 	}
@@ -67,7 +64,7 @@ func TestTracerClampsNonMonotone(t *testing.T) {
 func TestTracerIgnoresUnstampedEvents(t *testing.T) {
 	tr := NewTracer(nil)
 	tr.ObserveCentralPath(0, 1, 2, time.Now())
-	if got := tr.StageHist(StageApply).Count(); got != 0 {
+	if got := tr.hists[StageApply].Count(); got != 0 {
 		t.Fatalf("unstamped event recorded %d samples, want 0", got)
 	}
 }
